@@ -9,10 +9,8 @@ serial independence.
 from .seqmodel import (
     Alphabet,
     AlphabetMismatchError,
-    ContextCounts,
     MultiSample,
     SymbolSeq,
-    build_counts,
     count_occurrences,
 )
 from .estimators import (
@@ -22,7 +20,6 @@ from .estimators import (
     MonteCarloEstimate,
     PairAlphabet,
     avg_kl_error,
-    kt_cond_log2prob,
     kt_log2prob,
     laplace_cond_log2prob,
     laplace_log2prob,
@@ -31,7 +28,6 @@ from .estimators import (
     order_weight_tail,
     r_cond_log2prob,
     r_log2prob,
-    side_info_cond_log2prob,
     side_info_cond_log2probs,
 )
 from .coding import (
@@ -51,7 +47,6 @@ from .coding import (
 from .testing import (
     EmpiricalEntropy,
     EntropyRate,
-    NullModel,
     TestReport,
     empirical_entropy,
     identity_test,

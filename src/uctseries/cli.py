@@ -433,6 +433,23 @@ def cmd_montecarlo(args) -> int:
 # Argument wiring
 
 
+def _ranged(kind, ok, requirement: str):
+    """argparse type: a `kind` value for which `ok` holds, else a usage error."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {requirement}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "a positive integer")
+_ORDER = _ranged(int, lambda v: v >= 0, "a nonnegative integer")
+_LEVEL = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+
+
 def _add_common(p: argparse.ArgumentParser, *, data=True) -> None:
     if data:
         p.add_argument("--in", dest="input", required=True, help="input data file")
@@ -440,18 +457,18 @@ def _add_common(p: argparse.ArgumentParser, *, data=True) -> None:
     p.add_argument("--alphabet", help="size or comma-separated symbol labels")
     p.add_argument("--domain", help="real-valued domain a:b")
     p.add_argument("--order", type=int, default=0, help="Markov order")
-    p.add_argument("--max-order", dest="max_order", type=int,
+    p.add_argument("--max-order", dest="max_order", type=_ORDER,
                    default=estimators.DEFAULT_MAX_EXPLICIT_ORDER,
                    help="largest explicit mixture order")
-    p.add_argument("--depth", type=int, default=realvalued.DEFAULT_MAX_DEPTH,
+    p.add_argument("--depth", type=_ORDER, default=realvalued.DEFAULT_MAX_DEPTH,
                    help="quantization depth")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=_LEVEL, default=0.05, help="significance level")
     p.add_argument("--provider", choices=["ideal-r", "arithmetic", "external"],
                    default="ideal-r")
     p.add_argument("--compressor-cmd", dest="compressor_cmd",
                    help="external compressor command (stdin to stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_COUNT, default=200)
     p.add_argument("--out", help="write the report (or binary container) here")
     p.add_argument("--renormalize-depth-weights", dest="renormalize_depth_weights",
                    action="store_true")

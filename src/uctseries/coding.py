@@ -30,7 +30,6 @@ __all__ = [
     "CodelengthProvider",
     "ExternalCompressor",
     "MAGIC",
-    "arithmetic_codelength",
     "arithmetic_decode",
     "arithmetic_encode",
     "arithmetic_provider",
@@ -371,10 +370,6 @@ def arithmetic_decode(payload: bytes, lengths, model, alphabet: Alphabet):
     if len(out) == 1:
         return out[0]
     return MultiSample(out)
-
-
-def arithmetic_codelength(x, model) -> int:
-    return arithmetic_encode(x, model)[1]
 
 
 # ---------------------------------------------------------------------------

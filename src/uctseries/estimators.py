@@ -26,6 +26,7 @@ from .seqmodel import (
     MultiSample,
     SymbolSeq,
     as_sample_arrays,
+    window_counts,
 )
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "MonteCarloEstimate",
     "PairAlphabet",
     "avg_kl_error",
-    "kt_cond_log2prob",
     "kt_log2prob",
     "laplace_cond_log2prob",
     "laplace_log2prob",
@@ -45,7 +45,6 @@ __all__ = [
     "order_weight_tail",
     "r_cond_log2prob",
     "r_log2prob",
-    "side_info_cond_log2prob",
     "side_info_cond_log2probs",
 ]
 
@@ -99,7 +98,7 @@ def laplace_log2prob(x: SymbolSeq) -> LogProb:
     The product telescopes to  prod_a nu(a)! * (|A|-1)! / (t+|A|-1)!.
     """
     size = x.alphabet.size
-    nu = np.bincount(x.symbols, minlength=size) if len(x) else np.zeros(size)
+    nu = window_counts(x, 0).pair  # unseen symbols add gammaln(1) = 0
     val = gammaln(nu + 1.0).sum() + gammaln(size) - gammaln(len(x) + size)
     return float(val / _LN2)
 
@@ -108,49 +107,17 @@ def laplace_log2prob(x: SymbolSeq) -> LogProb:
 # Add-half estimator of fixed Markov order (batch evaluation)
 
 
-def _window_counts(samples: list[np.ndarray], m: int, size: int):
-    """Pair counts nu(v a) and context totals nu-bar(v) over all samples.
-
-    Windows of length m+1 are confined within each sample.  Returns two
-    count arrays (contexts themselves are not needed by the estimators).
-    """
-    chunks = [arr for arr in samples if arr.size >= m + 1]
-    if not chunks:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if size ** (m + 1) < 2 ** 62:
-        powers = size ** np.arange(m, -1, -1, dtype=np.int64)
-        codes = []
-        for arr in chunks:
-            win = np.lib.stride_tricks.sliding_window_view(arr, m + 1)
-            codes.append(win @ powers)
-        allc = np.concatenate(codes)
-        pair_codes, pair = np.unique(allc, return_counts=True)
-        ctx_codes = pair_codes // size
-        _, inverse = np.unique(ctx_codes, return_inverse=True)
-        ctx = np.bincount(inverse, weights=pair)
-        return pair, ctx.astype(np.int64)
-    # alphabet too large for integer window codes: compare rows directly
-    windows = np.concatenate(
-        [np.lib.stride_tricks.sliding_window_view(arr, m + 1) for arr in chunks]
-    )
-    uniq, pair = np.unique(windows, axis=0, return_counts=True)
-    _, inverse = np.unique(uniq[:, :m], axis=0, return_inverse=True)
-    ctx = np.bincount(inverse, weights=pair)
-    return pair, ctx.astype(np.int64)
-
-
 def kt_log2prob(x, m: int) -> LogProb:
     """Exact log2 probability of the order-m add-half estimator.
 
     The first min(m, t_i) letters of every sample are priced at 1/|A|;
     the rest comes from the pooled window counts through log-gamma.
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
     alphabet, samples = as_sample_arrays(x)
     size = alphabet.size
+    counts = window_counts(x, m)
     prefix_bits = sum(min(m, arr.size) for arr in samples) * math.log2(size)
-    pair, ctx = _window_counts(samples, m, size)
+    pair, ctx = counts.pair, counts.context
     num = gammaln(pair + 0.5).sum() - pair.size * gammaln(0.5)
     den = gammaln(ctx + size / 2.0).sum() - ctx.size * gammaln(size / 2.0)
     return float(-prefix_bits + (num - den) / _LN2)
@@ -225,11 +192,6 @@ class KtState:
             for a in arr:
                 self.append(int(a))
         return self
-
-
-def kt_cond_log2prob(a: int, state: KtState) -> LogProb:
-    """Next-symbol conditional of an order-m add-half state."""
-    return state.conditional_log2prob(a)
 
 
 class MixtureEstimator:
@@ -318,6 +280,8 @@ def r_log2prob(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> LogPr
     the uniform measure |A|^-t, so their weighted sum has a closed form
     and the result is exact whenever max_explicit_order is not binding.
     """
+    if max_explicit_order < 0:
+        raise ValueError("max_explicit_order must be nonnegative")
     alphabet, samples = as_sample_arrays(x)
     t = sum(arr.size for arr in samples)
     if t == 0:
@@ -394,12 +358,6 @@ def side_info_cond_log2probs(pair_alphabet: PairAlphabet, history, y_next: int,
         [cond[ix * ny + int(y_next)] for ix in range(pair_alphabet.x_alphabet.size)]
     )
     return np.log2(column / column.sum())
-
-
-def side_info_cond_log2prob(x_next: int, history, y_next: int,
-                            pair_alphabet: PairAlphabet, estimator=None) -> LogProb:
-    probs = side_info_cond_log2probs(pair_alphabet, history, y_next, estimator)
-    return float(probs[int(x_next)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,30 @@
-"""Alphabets, symbol sequences, multi-sample collections and window counts.
+"""Alphabets, symbol sequences, multi-sample collections and the
+window-counting kernel.
 
 Symbols are dense integer indices; string labels exist only at the I/O
 boundary.  All statistics are sliding-window based and windows never
 straddle sample boundaries, so the counts of several independent samples
-are the sums of the per-sample counts.
+are the sums of the per-sample counts.  Every batch count in the package
+comes from :func:`window_counts`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Alphabet",
     "AlphabetMismatchError",
-    "ContextCounts",
     "MultiSample",
     "SymbolSeq",
+    "WindowCounts",
     "as_sample_arrays",
-    "build_counts",
     "count_occurrences",
     "pair_counts",
+    "window_counts",
 ]
 
 
@@ -38,12 +41,15 @@ class Alphabet:
     """
 
     labels: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) < 1:
             raise ValueError("alphabet must contain at least one symbol")
-        if len(set(self.labels)) != len(self.labels):
+        index = {label: i for i, label in enumerate(self.labels)}
+        if len(index) != len(self.labels):
             raise ValueError("alphabet labels must be pairwise distinct")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -58,8 +64,8 @@ class Alphabet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise AlphabetMismatchError(f"unknown symbol label {label!r}") from None
 
 
@@ -150,6 +156,90 @@ def _coerce_word(x_alphabet: Alphabet, v) -> np.ndarray:
     return arr
 
 
+# ---------------------------------------------------------------------------
+# Window counts
+
+# Codes stay below this bound, so their int64 arithmetic cannot overflow.
+_CODE_LIMIT = 2 ** 62
+
+
+class WindowCounts(NamedTuple):
+    """Pooled counts of the (m+1)-windows of one order m.
+
+    Distinct windows come in lexicographic order, so the windows sharing a
+    length-m context are adjacent and the contexts are in lexicographic
+    order too.
+    """
+
+    codes: np.ndarray    # code of every window, sample after sample
+    windows: np.ndarray  # distinct codes, ascending
+    pair: np.ndarray     # nu(v a) of each distinct window v a
+    context: np.ndarray  # nu-bar(v) of each distinct context v
+    starts: np.ndarray   # index in `windows` of each context's first window
+
+
+def window_counts(x, m: int) -> WindowCounts:
+    """Pooled counts of the (m+1)-windows of x, grouped by length-m context.
+
+    A window's code is its base-|A| value, so codes sort lexicographically
+    and a window's context code is code // |A|.  The code is built a few
+    symbols at a time, each chunk by one product over the sliding windows;
+    before the next chunk could pass 2^62, the codes so far are replaced by
+    their dense ranks (the rank renaming of suffix-array construction),
+    which keeps their order, so every alphabet size is counted exactly on
+    the same path.  Windows never straddle a sample boundary.
+    """
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    alphabet, samples = as_sample_arrays(x)
+    return _count(samples, alphabet.size, m)
+
+
+def _count(samples: list[np.ndarray], size: int, m: int) -> WindowCounts:
+    samples = [arr for arr in samples if arr.size > m]
+    if not samples:
+        empty = np.zeros(0, dtype=np.int64)
+        return WindowCounts(empty, empty, empty, empty, empty)
+    bound, start = 1, 0
+    while start <= m:
+        if bound > _CODE_LIMIT // size:
+            ranks = np.unique(codes)
+            codes, bound = np.searchsorted(ranks, codes), ranks.size
+        width, scale = 1, size
+        while width <= m - start and bound * scale * size <= _CODE_LIMIT:
+            width, scale = width + 1, scale * size
+        powers = size ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        parts = [np.lib.stride_tricks.sliding_window_view(arr, width)[start:arr.size - m + start]
+                 @ powers for arr in samples]
+        part = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if start:
+            codes *= scale
+            codes += part
+        else:
+            codes = part
+        bound *= scale
+        start += width
+    windows, pair = np.unique(codes, return_counts=True)
+    ctx = windows // size
+    starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))
+    return WindowCounts(codes, windows, pair, np.add.reduceat(pair, starts), starts)
+
+
+def pair_counts(x, k: int) -> dict[tuple, np.ndarray]:
+    """Counts of (k+1)-windows grouped by their length-k context prefix."""
+    alphabet, samples = as_sample_arrays(x)
+    counts = window_counts(x, k)
+    table: dict[tuple, np.ndarray] = {}
+    if counts.codes.size:
+        rows = np.concatenate([np.lib.stride_tricks.sliding_window_view(arr, k + 1)
+                               for arr in samples if arr.size > k])
+        seen = np.empty(counts.windows.size, dtype=np.int64)  # a row of each window
+        seen[np.searchsorted(counts.windows, counts.codes)] = np.arange(counts.codes.size)
+        for (*ctx, a), n in zip(rows[seen].tolist(), counts.pair):
+            table.setdefault(tuple(ctx), np.zeros(alphabet.size, dtype=np.int64))[a] = n
+    return table
+
+
 def count_occurrences(x, v) -> int:
     """Number of sliding windows equal to the word `v`, summed per sample.
 
@@ -157,112 +247,8 @@ def count_occurrences(x, v) -> int:
     """
     alphabet, samples = as_sample_arrays(x)
     word = _coerce_word(alphabet, v)
-    k = word.size
-    if k < 1:
+    if not word.size:
         raise ValueError("word must be nonempty")
-    total = 0
-    for arr in samples:
-        if arr.size < k:
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(arr, k)
-        total += int((windows == word).all(axis=1).sum())
-    return total
-
-
-class ContextCounts:
-    """Occurrence counts nu(v a) for every context v up to a maximum order.
-
-    `table(k)` maps a context word of length k to the per-symbol vector of
-    counts of (k+1)-windows starting with that context.  Supports
-    incremental `append` with explicit `new_sample` boundaries; appending
-    one symbol at a time is equivalent to a batch rebuild.
-    """
-
-    def __init__(self, alphabet: Alphabet, max_order: int):
-        if max_order < 0:
-            raise ValueError("max_order must be nonnegative")
-        self.alphabet = alphabet
-        self.max_order = max_order
-        self._tables: list[dict[tuple, np.ndarray]] = [
-            {} for _ in range(max_order + 1)
-        ]
-        self._suffix: list[int] = []   # last max_order symbols of the open sample
-        self._pos = 0                  # symbols consumed in the open sample
-        self._closed: list[int] = []   # lengths of closed samples
-        self.total_length = 0
-
-    def append(self, symbol: int) -> None:
-        a = int(symbol)
-        if not 0 <= a < self.alphabet.size:
-            raise ValueError("symbol index out of alphabet range")
-        for k in range(min(self._pos, self.max_order) + 1):
-            ctx = tuple(self._suffix[len(self._suffix) - k:])
-            row = self._tables[k].get(ctx)
-            if row is None:
-                row = np.zeros(self.alphabet.size, dtype=np.int64)
-                self._tables[k][ctx] = row
-            row[a] += 1
-        self._suffix.append(a)
-        if len(self._suffix) > self.max_order:
-            self._suffix.pop(0)
-        self._pos += 1
-        self.total_length += 1
-
-    def new_sample(self) -> None:
-        """Close the open sample; subsequent appends start a fresh one."""
-        self._closed.append(self._pos)
-        self._suffix = []
-        self._pos = 0
-
-    @property
-    def sample_lengths(self) -> list[int]:
-        return self._closed + [self._pos]
-
-    def table(self, k: int) -> dict[tuple, np.ndarray]:
-        if not 0 <= k <= self.max_order:
-            raise ValueError("context length exceeds max_order")
-        return self._tables[k]
-
-    def pair_count(self, v, a: int) -> int:
-        """nu(v a) for a context v with len(v) <= max_order."""
-        row = self._tables[len(tuple(v))].get(tuple(int(s) for s in v))
-        return 0 if row is None else int(row[int(a)])
-
-    def context_total(self, v) -> int:
-        """nu-bar(v) = sum_a nu(v a)."""
-        row = self._tables[len(tuple(v))].get(tuple(int(s) for s in v))
-        return 0 if row is None else int(row.sum())
-
-
-def pair_counts(x, k: int) -> dict[tuple, np.ndarray]:
-    """Counts of (k+1)-windows grouped by their length-k context prefix.
-
-    Vectorized batch construction, independent of the incremental path.
-    """
-    alphabet, samples = as_sample_arrays(x)
-    table: dict[tuple, np.ndarray] = {}
-    for arr in samples:
-        if arr.size < k + 1:
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(arr, k + 1)
-        uniq, counts = np.unique(windows, axis=0, return_counts=True)
-        for row, n in zip(uniq, counts):
-            ctx = tuple(int(s) for s in row[:k])
-            dest = table.get(ctx)
-            if dest is None:
-                dest = np.zeros(alphabet.size, dtype=np.int64)
-                table[ctx] = dest
-            dest[int(row[k])] += int(n)
-    return table
-
-
-def build_counts(x, max_order: int) -> ContextCounts:
-    """Materialize ContextCounts for all context lengths up to max_order."""
-    alphabet, samples = as_sample_arrays(x)
-    cc = ContextCounts(alphabet, max_order)
-    for j, arr in enumerate(samples):
-        if j:
-            cc.new_sample()
-        for a in arr:
-            cc.append(int(a))
-    return cc
+    # the word joins as one more sample; its only window is the last one
+    counts = _count(samples + [word], alphabet.size, word.size - 1)
+    return int(counts.pair[np.searchsorted(counts.windows, counts.codes[-1])]) - 1

@@ -23,20 +23,17 @@ from .estimators import (
     order_weight,
 )
 from .realvalued import Partition, PiecewiseConstantDensity, quantize
-from .seqmodel import as_sample_arrays, pair_counts
+from .seqmodel import as_sample_arrays, window_counts
 
 __all__ = [
     "EmpiricalEntropy",
     "EntropyRate",
-    "NullModel",
     "TestReport",
     "empirical_entropy",
     "identity_test",
     "partition_meta_test",
     "serial_independence_test",
 ]
-
-NullModel = MarkovSource
 
 _HUGE = float(np.finfo(float).max)
 
@@ -62,11 +59,11 @@ def empirical_entropy(x, k: int) -> EmpiricalEntropy:
     if any(arr.size <= k for arr in samples):
         raise ValueError(f"every sample must be longer than the order k={k}")
     windows = sum(arr.size - k for arr in samples)
-    acc = 0.0
-    for row in pair_counts(x, k).values():
-        total = row.sum()
-        nz = row[row > 0]
-        acc -= float((nz * (np.log2(nz) - math.log2(total))).sum())
+    counts = window_counts(x, k)
+    acc = 0.0  # summed context by context, which fixes the rounding of reports
+    rows = np.split(counts.pair, counts.starts[1:])
+    for row, total in zip(rows, counts.context.tolist()):
+        acc -= float((row * (np.log2(row) - math.log2(total))).sum())
     value = acc / windows
     return EmpiricalEntropy(order=k, value=value, window_count=windows)
 
@@ -136,7 +133,7 @@ def _verdict(statistic: float, threshold: float) -> str:
     return "reject" if statistic > threshold else "accept"
 
 
-def identity_test(x, null: NullModel, alpha: float,
+def identity_test(x, null: MarkovSource, alpha: float,
                   provider: CodelengthProvider | None = None) -> TestReport:
     """Goodness-of-fit test of a fully specified null source.
 
@@ -265,7 +262,7 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
         if kind == "si":
             sub = serial_independence_test(quantized, 0, level, provider)
         else:
-            null = NullModel.iid(quantized.alphabet, _cell_probs(null_density, partition))
+            null = MarkovSource.iid(quantized.alphabet, _cell_probs(null_density, partition))
             sub = identity_test(quantized, null, level, provider)
         sub.details["partition_depth"] = partition.depth
         subs.append(sub)

@@ -251,6 +251,21 @@ class TestMonteCarloCommand:
         assert rep["value_bits_per_letter"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--test", "identity", "--trials", "0"],
+    ["montecarlo", "--test", "identity", "--trials", "-3"],
+    ["estimate", "--in", DATA / "mixed.txt", "--max-order", "-1"],
+    ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--depth", "-1"],
+    ["test-independence", "--in", DATA / "mixed.txt", "--alpha", "1.5"],
+    ["test-independence", "--in", DATA / "mixed.txt", "--alpha", "0"],
+    ["estimate", "--in", DATA / "mixed.txt", "--max-order", "two"],
+])
+def test_out_of_range_option_is_usage_error(capsys, argv):
+    code, rep, err = run(capsys, *argv)
+    assert code == 2 and rep is None
+    assert json.loads(err)["error"] == "usage"
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

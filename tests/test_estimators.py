@@ -159,8 +159,8 @@ class TestKt:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_large_alphabet_fallback_counting(self):
-        # 256 symbols at order 7 exceeds the integer window-code range and
-        # takes the row-comparison path; check it against the oracle
+        # 256 symbols at order 7 exceed the integer window-code range, so
+        # the codes are renamed to ranks; check it against the oracle
         rng = np.random.default_rng(71)
         alphabet = Alphabet.of_size(256)
         arr = rng.integers(0, 256, size=400).tolist()
@@ -256,6 +256,21 @@ class TestMixture:
                 assert r_log2prob(ms) == pytest.approx(
                     brute_r(arrs, size), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("size", [256, 70000])
+    def test_large_alphabet_matches_brute_force_mixture(self, size):
+        # orders past the rank renaming of the window codes
+        rng = np.random.default_rng(size)
+        alphabet = Alphabet.of_size(size)
+        letters = [0, 1, size - 1]
+        for _ in range(4):
+            arrs = [rng.choice(letters, size=n).tolist() for n in (17, 9)]
+            ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+            assert r_log2prob(ms) == pytest.approx(brute_r(arrs, size), abs=1e-9)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            r_log2prob(seq("0110"), -1)
 
     def test_sequential_equals_batch(self):
         rng = np.random.default_rng(47)

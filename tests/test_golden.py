@@ -1,0 +1,96 @@
+"""Byte-for-byte CLI reports and containers, and the export lists.
+
+The files under tests/data/golden were written by the CLI itself on the
+data files of tests/data.  A change to any report or container byte is a
+change in numerics and must be deliberate: rerun this module's
+``write_goldens()`` and say so in the change log.
+
+    PYTHONPATH=src python -c "import tests.test_golden as g; g.write_goldens()"
+"""
+
+import importlib
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import uctseries
+from uctseries.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+OUT = "OUT"  # stands for the --out path in the stored compress report
+
+# name -> (argv with data file names relative to tests/data, exit code)
+CASES = {
+    "estimate_mixed": (["estimate", "--in", "mixed.txt"], 0),
+    "estimate_alternating": (["estimate", "--in", "alternating.txt"], 0),
+    "estimate_query_mixed": (["estimate", "--in", "mixed.txt", "--query", "0110"], 0),
+    "estimate_query_two_samples": (
+        ["estimate", "--in", "two_samples.txt", "--query", "01"], 0),
+    "independence_mixed": (
+        ["test-independence", "--order", "1", "--in", "mixed.txt"], 0),
+    "independence_alternating": (
+        ["test-independence", "--order", "1", "--in", "alternating.txt"], 0),
+    "independence_two_samples": (
+        ["test-independence", "--order", "1", "--in", "two_samples.txt"], 0),
+    "density_uniform": (
+        ["density", "--in", "uniform_reals.csv", "--domain", "0:1", "--depth", "4"], 0),
+    "predict_mixed": (["predict", "--in", "mixed.txt"], 0),
+    "predict_side_info": (
+        ["predict", "--in", "side_x.txt", "--in2", "side_y.txt"], 0),
+    "compress_mixed": (["compress", "--in", "mixed.txt", "--out", OUT], 0),
+}
+
+MODULES = ["uctseries.seqmodel", "uctseries.estimators",
+           "uctseries.coding", "uctseries.testing", "uctseries.realvalued"]
+
+
+def _argv(argv, out: Path) -> list[str]:
+    files = {p.name for p in DATA.iterdir()}
+    return [str(out) if a == OUT else str(DATA / a) if a in files else a
+            for a in argv]
+
+
+def run_case(name: str, out: Path) -> tuple[int, str]:
+    """Exit code and stdout of one case; the --out path is masked."""
+    argv, _ = CASES[name]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(_argv(argv, out))
+    return code, buf.getvalue().replace(str(out), OUT)
+
+
+def write_goldens() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CASES:
+        out = GOLDEN / f"{name}.uct"
+        _, text = run_case(name, out)
+        (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_identical(name, tmp_path):
+    out = tmp_path / "container.uct"
+    code, text = run_case(name, out)
+    assert code == CASES[name][1]
+    assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    if OUT in CASES[name][0]:
+        assert out.read_bytes() == (GOLDEN / f"{name}.uct").read_bytes()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def test_package_reexports_resolve_to_module_objects():
+    public = [n for n in vars(uctseries) if not n.startswith("_")]
+    for name in public:
+        obj = getattr(uctseries, name)
+        owner = getattr(obj, "__module__", None)
+        if owner and owner.startswith("uctseries."):
+            mod = importlib.import_module(owner)
+            assert name in mod.__all__ and getattr(mod, name) is obj, name

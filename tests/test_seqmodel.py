@@ -6,9 +6,9 @@ from uctseries.seqmodel import (
     AlphabetMismatchError,
     MultiSample,
     SymbolSeq,
-    build_counts,
     count_occurrences,
     pair_counts,
+    window_counts,
 )
 
 BINARY = Alphabet.of_size(2)
@@ -99,77 +99,47 @@ class TestCountOccurrences:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
-        for _ in range(25):
-            arrs = [rng.integers(0, 2, size=rng.integers(0, 30)) for _ in range(2)]
-            ms = MultiSample([SymbolSeq(BINARY, a) for a in arrs])
-            k = int(rng.integers(1, 4))
-            word = rng.integers(0, 2, size=k)
-            assert count_occurrences(ms, word) == brute_window_count(
-                [a.tolist() for a in arrs], word.tolist()
-            )
+        for size in (2, 70000):
+            alphabet = Alphabet.of_size(size)
+            letters = np.unique([0, 1, size - 1])  # few letters, so words recur
+            for _ in range(25):
+                arrs = [rng.choice(letters, size=rng.integers(0, 30)) for _ in range(2)]
+                ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+                k = int(rng.integers(1, 7))  # 70000 symbols are rank-renamed from k = 4
+                word = rng.choice(letters, size=k)
+                assert count_occurrences(ms, word) == brute_window_count(
+                    [a.tolist() for a in arrs], word.tolist()
+                )
 
 
 class TestContextCounts:
     def test_paper_multisample_counts(self):
-        cc = build_counts(multi("0101", "101"), 1)
-        assert cc.pair_count([0], 1) == 3
-        assert cc.pair_count([1], 0) == 2
-        assert cc.pair_count([0], 0) == 0
-        assert cc.pair_count([1], 1) == 0
+        table = pair_counts(multi("0101", "101"), 1)
+        assert table[(0,)].tolist() == [0, 3]
+        assert table[(1,)].tolist() == [2, 0]
 
     def test_order_zero_counts_sum_to_length(self):
         rng = np.random.default_rng(3)
         arr = rng.integers(0, 2, size=40)
-        cc = build_counts(SymbolSeq(BINARY, arr), 0)
-        assert cc.table(0)[()].sum() == 40
+        assert pair_counts(SymbolSeq(BINARY, arr), 0)[()].sum() == 40
 
     def test_row_sum_equals_context_total(self):
         rng = np.random.default_rng(11)
         x = SymbolSeq(BINARY, rng.integers(0, 2, size=200))
-        cc = build_counts(x, 3)
         for k in range(4):
-            for ctx, row in cc.table(k).items():
-                assert row.sum() == cc.context_total(ctx)
+            counts = window_counts(x, k)
+            table = pair_counts(x, k)
+            totals = [table[ctx].sum() for ctx in sorted(table)]
+            assert counts.context.tolist() == totals
 
     def test_counts_match_window_scan(self):
         rng = np.random.default_rng(5)
         x = SymbolSeq(BINARY, rng.integers(0, 2, size=50))
-        cc = build_counts(x, 3)
         for k in range(4):
-            for ctx, row in cc.table(k).items():
+            for ctx, row in pair_counts(x, k).items():
                 for a in range(2):
                     word = list(ctx) + [a]
                     assert row[a] == brute_window_count([x.symbols.tolist()], word)
-
-    def test_incremental_append_equals_batch(self):
-        rng = np.random.default_rng(17)
-        for order in range(6):
-            arrs = [rng.integers(0, 3, size=rng.integers(1, 400)) for _ in range(3)]
-            alphabet = Alphabet.of_size(3)
-            ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
-            batch = pair_counts(ms, order)
-            from uctseries.seqmodel import ContextCounts
-
-            inc = ContextCounts(alphabet, order)
-            for j, a in enumerate(arrs):
-                if j:
-                    inc.new_sample()
-                for s in a:
-                    inc.append(int(s))
-            assert set(batch) == set(inc.table(order))
-            for ctx, row in batch.items():
-                assert (row == inc.table(order)[ctx]).all()
-
-    def test_long_sequence_incremental(self):
-        rng = np.random.default_rng(23)
-        arr = rng.integers(0, 2, size=10_000)
-        x = SymbolSeq(BINARY, arr)
-        for order in (0, 5):
-            cc = build_counts(x, order)
-            batch = pair_counts(x, order)
-            assert set(batch) == set(cc.table(order))
-            for ctx, row in batch.items():
-                assert (row == cc.table(order)[ctx]).all()
 
     def test_multisample_counts_are_per_sample_sums(self):
         rng = np.random.default_rng(29)
@@ -184,3 +154,52 @@ class TestContextCounts:
     def test_sample_shorter_than_word_contributes_nothing(self):
         ms = multi("01", "0")
         assert count_occurrences(ms, [0, 1]) == 1
+
+
+def brute_windows(samples, k):
+    """Independent oracle: every window of length k, counted per sample."""
+    counts = {}
+    for s in samples:
+        for i in range(len(s) - k + 1):
+            w = tuple(s[i:i + k])
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+class TestWindowCountKernel:
+    @pytest.mark.parametrize("size", [1, 2, 3, 256, 70000])
+    def test_every_order_matches_brute_force(self, size):
+        # orders 0..10 pass the rank renaming at order 7 for 256 symbols
+        # and at order 3 for 70000; the samples include an empty one and
+        # ones shorter than the longest windows
+        rng = np.random.default_rng(size)
+        alphabet = Alphabet.of_size(size)
+        letters = np.unique(np.r_[0, size - 1, rng.integers(0, size, size=2)])
+        for _ in range(6):
+            lengths = [0, 1, 5, int(rng.integers(8, 60)), int(rng.integers(0, 30))]
+            arrs = [rng.choice(letters, size=n) for n in lengths]
+            ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+            for m in range(11):
+                counts = window_counts(ms, m)
+                oracle = brute_windows([a.tolist() for a in arrs], m + 1)
+                windows = sorted(oracle)
+                assert counts.pair.tolist() == [oracle[w] for w in windows]
+                contexts = {}
+                for w in windows:
+                    contexts.setdefault(w[:-1], []).append(oracle[w])
+                assert counts.context.tolist() == [sum(c) for c in contexts.values()]
+                runs = [len(c) for c in contexts.values()]
+                assert counts.starts.tolist() == np.cumsum([0] + runs)[:-1].tolist()
+                assert counts.codes.size == sum(max(0, n - m) for n in lengths)
+                if m not in (0, 3, 7, 10):
+                    continue  # the dict view allocates an |A|-row per context
+                table = pair_counts(ms, m)
+                assert {ctx + (a,): int(n) for ctx, row in table.items()
+                        for a, n in enumerate(row) if n} == oracle
+
+    def test_no_windows(self):
+        x = multi("", "01")
+        counts = [window_counts(x, m) for m in range(4)]
+        assert [c.pair.sum() for c in counts] == [2, 1, 0, 0]
+        assert counts[3].context.size == counts[3].starts.size == 0
+        assert pair_counts(x, 2) == {}

@@ -89,6 +89,17 @@ class TestEmpiricalEntropy:
                 brute_entropy(arrs, k, size), abs=1e-10
             )
 
+    @pytest.mark.parametrize("size", [2, 3, 256])
+    def test_matches_per_context_formula(self, size):
+        rng = np.random.default_rng(size)
+        alphabet = Alphabet.of_size(size)
+        for k in range(3):
+            arrs = [rng.integers(0, size, size=n).tolist() for n in (500, 40, 3)]
+            ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+            assert empirical_entropy(ms, k).value == pytest.approx(
+                brute_entropy(arrs, k, size), rel=1e-12
+            )
+
 
 class TestEntropyRate:
     def test_monotone_orders(self):
