@@ -134,19 +134,14 @@ def _format_symbols(x, alphabet: Alphabet) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def _provider(args, alphabet=None):
-    name = getattr(args, "provider", "ideal-r") or "ideal-r"
-    max_order = getattr(args, "max_order", estimators.DEFAULT_MAX_EXPLICIT_ORDER)
-    if name == "ideal-r":
-        return coding.ideal_r_provider(max_order)
-    if name == "arithmetic":
-        return coding.arithmetic_provider(max_explicit_order=max_order)
-    if name == "external":
-        cmd = getattr(args, "compressor_cmd", None)
-        if not cmd:
-            raise _UsageError("--provider external requires --compressor-cmd")
-        return coding.external_provider(cmd)
-    raise _UsageError(f"unknown provider {name!r}")
+def _provider(args):
+    if args.provider == "ideal-r":
+        return coding.ideal_r_provider(args.max_order)
+    if args.provider == "arithmetic":
+        return coding.arithmetic_provider(max_explicit_order=args.max_order)
+    if not args.compressor_cmd:
+        raise _UsageError("--provider external requires --compressor-cmd")
+    return coding.external_provider(args.compressor_cmd)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +164,7 @@ def _rounded(obj):
 def _emit(report: dict, args, to_stdout: bool = False) -> None:
     """Write the JSON report to --out, or stdout when absent or forced."""
     text = json.dumps(_rounded(report), indent=2) + "\n"
-    out = None if to_stdout else getattr(args, "out", None)
+    out = None if to_stdout else args.out
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -378,7 +373,7 @@ def cmd_montecarlo(args) -> int:
         "alpha": args.alpha,
         "length": args.length,
         "order": args.order,
-        "depth": args.depth if args.depth is not None else 4,
+        "depth": args.depth,
         "max_order": args.max_order,
         "domain": _parse_domain(args.domain) if args.domain else (0.0, 1.0),
     }
@@ -450,75 +445,69 @@ _ORDER = _ranged(int, lambda v: v >= 0, "a nonnegative integer")
 _LEVEL = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
-def _add_common(p: argparse.ArgumentParser, *, data=True) -> None:
-    if data:
-        p.add_argument("--in", dest="input", required=True, help="input data file")
-    p.add_argument("--in2", dest="input2", help="side-information file")
-    p.add_argument("--alphabet", help="size or comma-separated symbol labels")
-    p.add_argument("--domain", help="real-valued domain a:b")
-    p.add_argument("--order", type=int, default=0, help="Markov order")
-    p.add_argument("--max-order", dest="max_order", type=_ORDER,
-                   default=estimators.DEFAULT_MAX_EXPLICIT_ORDER,
-                   help="largest explicit mixture order")
-    p.add_argument("--depth", type=_ORDER, default=realvalued.DEFAULT_MAX_DEPTH,
-                   help="quantization depth")
-    p.add_argument("--alpha", type=_LEVEL, default=0.05, help="significance level")
-    p.add_argument("--provider", choices=["ideal-r", "arithmetic", "external"],
-                   default="ideal-r")
-    p.add_argument("--compressor-cmd", dest="compressor_cmd",
-                   help="external compressor command (stdin to stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_COUNT, default=200)
-    p.add_argument("--out", help="write the report (or binary container) here")
-    p.add_argument("--renormalize-depth-weights", dest="renormalize_depth_weights",
-                   action="store_true")
+_FLAGS = {
+    "--in": dict(dest="input", required=True, help="input data file"),
+    "--in2": dict(dest="input2", help="side-information file"),
+    "--alphabet": dict(help="size or comma-separated symbol labels"),
+    "--domain": dict(help="real-valued domain a:b"),
+    "--order": dict(type=_ORDER, default=0, help="Markov order"),
+    "--max-order": dict(dest="max_order", type=_ORDER,
+                        default=estimators.DEFAULT_MAX_EXPLICIT_ORDER,
+                        help="largest explicit mixture order"),
+    "--depth": dict(type=_ORDER, default=realvalued.DEFAULT_MAX_DEPTH,
+                    help="quantization depth"),
+    "--alpha": dict(type=_LEVEL, default=0.05, help="significance level"),
+    "--provider": dict(choices=["ideal-r", "arithmetic", "external"],
+                       default="ideal-r"),
+    "--compressor-cmd": dict(dest="compressor_cmd",
+                             help="external compressor command (stdin to stdout)"),
+    "--seed": dict(type=_ORDER, default=0),
+    "--trials": dict(type=_COUNT, default=200),
+    "--length": dict(type=_COUNT, default=256, help="per-trial sample length"),
+    "--out": dict(help="write the report (or binary container) here"),
+    "--renormalize-depth-weights": dict(dest="renormalize_depth_weights",
+                                        action="store_true"),
+    "--query": dict(help="word whose conditional probability to report"),
+    "--null": dict(help="null source parameter file"),
+    "--source": dict(help="data-generating source parameter file"),
+    "--test": dict(required=True, choices=["identity", "independence",
+                                           "partition-si", "kl-redundancy"]),
+}
+
+_SYMBOLS = ("--in", "--alphabet", "--max-order", "--out")
+_TEST = ("--in", "--alphabet", "--alpha", "--provider", "--compressor-cmd",
+         "--max-order", "--out")
+
+# (command, handler, help, the flags its handler reads)
+_COMMANDS = [
+    ("estimate", cmd_estimate, "mixture probability of the input",
+     _SYMBOLS + ("--query",)),
+    ("predict", cmd_predict, "next-symbol conditional distribution",
+     _SYMBOLS + ("--in2",)),
+    ("compress", cmd_compress, "arithmetic-code the input", _SYMBOLS),
+    ("decompress", cmd_decompress, "decode a compressed container", _SYMBOLS),
+    ("test-identity", cmd_test_identity, "goodness-of-fit test against a null",
+     _TEST + ("--null",)),
+    ("test-independence", cmd_test_independence, "serial independence test",
+     _TEST + ("--order",)),
+    ("density", cmd_density, "density estimate of real-valued input",
+     ("--in", "--domain", "--depth", "--renormalize-depth-weights", "--out")),
+    ("montecarlo", cmd_montecarlo, "rejection-rate validation harness",
+     ("--test", "--trials", "--alpha", "--length", "--seed", "--order",
+      "--depth", "--domain", "--max-order", "--alphabet", "--null",
+      "--source", "--out")),
+]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="uctseries", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estimate", help="mixture probability of the input")
-    _add_common(p)
-    p.add_argument("--query", help="word whose conditional probability to report")
-    p.set_defaults(fn=cmd_estimate)
-
-    p = sub.add_parser("predict", help="next-symbol conditional distribution")
-    _add_common(p)
-    p.set_defaults(fn=cmd_predict)
-
-    p = sub.add_parser("compress", help="arithmetic-code the input")
-    _add_common(p)
-    p.set_defaults(fn=cmd_compress)
-
-    p = sub.add_parser("decompress", help="decode a compressed container")
-    _add_common(p)
-    p.set_defaults(fn=cmd_decompress)
-
-    p = sub.add_parser("test-identity", help="goodness-of-fit test against a null")
-    _add_common(p)
-    p.add_argument("--null", help="source parameter file for the null")
-    p.set_defaults(fn=cmd_test_identity)
-
-    p = sub.add_parser("test-independence", help="serial independence test")
-    _add_common(p)
-    p.set_defaults(fn=cmd_test_independence)
-
-    p = sub.add_parser("density", help="density estimate of real-valued input")
-    _add_common(p)
-    p.set_defaults(fn=cmd_density)
-
-    p = sub.add_parser("montecarlo", help="rejection-rate validation harness")
-    _add_common(p, data=False)
-    p.add_argument("--test", required=True,
-                   choices=["identity", "independence", "partition-si",
-                            "kl-redundancy"])
-    p.add_argument("--length", type=int, default=256, help="per-trial sample length")
-    p.add_argument("--null", help="null source parameter file (identity)")
-    p.add_argument("--source", help="data-generating source parameter file")
-    p.set_defaults(fn=cmd_montecarlo)
-
+    for name, fn, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

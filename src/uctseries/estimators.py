@@ -124,88 +124,27 @@ def kt_log2prob(x, m: int) -> LogProb:
 
 
 # ---------------------------------------------------------------------------
-# Sequential states
-
-
-class KtState:
-    """Sequential add-half estimator of fixed Markov order.
-
-    Consumes one symbol at a time, tracks log2 of the probability of
-    everything consumed so far, and exposes next-symbol conditionals.
-    The first `order` letters of each sample are priced uniformly.
-    """
-
-    __slots__ = ("alphabet", "order", "log2prob", "_counts", "_ctx", "_pos")
-
-    def __init__(self, alphabet: Alphabet, order: int):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        self.alphabet = alphabet
-        self.order = order
-        self.log2prob: LogProb = 0.0
-        self._counts: dict[tuple, list[float]] = {}
-        self._ctx: list[int] = []
-        self._pos = 0
-
-    def conditional_probs(self) -> list[float]:
-        size = self.alphabet.size
-        if self._pos < self.order:
-            return [1.0 / size] * size
-        row = self._counts.get(tuple(self._ctx))
-        if row is None:
-            return [1.0 / size] * size
-        total = sum(row) + size / 2.0
-        return [(c + 0.5) / total for c in row]
-
-    def conditional_log2prob(self, a: int) -> LogProb:
-        return math.log2(self.conditional_probs()[int(a)])
-
-    def append(self, a: int) -> None:
-        a = int(a)
-        size = self.alphabet.size
-        if self._pos < self.order:
-            self.log2prob -= math.log2(size)
-        else:
-            key = tuple(self._ctx)
-            row = self._counts.get(key)
-            if row is None:
-                row = [0.0] * size
-                self._counts[key] = row
-            total = sum(row) + size / 2.0
-            self.log2prob += math.log2((row[a] + 0.5) / total)
-            row[a] += 1.0
-        if self.order:
-            self._ctx.append(a)
-            if len(self._ctx) > self.order:
-                self._ctx.pop(0)
-        self._pos += 1
-
-    def new_sample(self) -> None:
-        self._ctx = []
-        self._pos = 0
-
-    def consume(self, x) -> "KtState":
-        _, samples = as_sample_arrays(x)
-        for j, arr in enumerate(samples):
-            if j:
-                self.new_sample()
-            for a in arr:
-                self.append(int(a))
-        return self
+# Sequential mixture on one context table
 
 
 class MixtureEstimator:
     """Order-weighted mixture of add-half Markov estimators.
 
-    Explicit states cover orders 0..max_explicit_order; all higher orders
+    Explicit orders 0..max_explicit_order are counted; all higher orders
     are priced by the uniform measure, whose weight has the closed form
     1/log2(max_explicit_order + 3).  The mixture is exact whenever
     max_explicit_order >= total length - 1, is a proper measure for every
     length (conditionals sum to one), and `truncated` flags inputs long
     enough for the uniform tail to stand in for unpriced orders.
 
-    Conditionals are maintained through posterior component weights, so
-    no per-order probability ever underflows.
+    Every order shares one context table (a context tree, as in CTW and
+    PPM): node 0 is the empty context and the child of node v for symbol
+    s is v extended one symbol into the past, so walking the current
+    sample's recent symbols backwards from the root reaches the context
+    of every order.  Each node owns one row of symbol counts.  An order
+    whose context is unseen, or not yet complete in the current sample,
+    is uniform.  Conditionals are maintained through posterior component
+    weights, so no per-order probability ever underflows.
     """
 
     def __init__(self, alphabet: Alphabet,
@@ -214,9 +153,14 @@ class MixtureEstimator:
             raise ValueError("max_explicit_order must be nonnegative")
         self.alphabet = alphabet
         self.max_explicit_order = max_explicit_order
-        self.states = [KtState(alphabet, i) for i in range(max_explicit_order + 1)]
-        self._weights = [order_weight(i + 1) for i in range(max_explicit_order + 1)]
-        self._weights.append(order_weight_tail(max_explicit_order + 2))
+        # posterior weights: the uniform tail first, then orders 0, 1, ...
+        self._w = np.array(
+            [order_weight_tail(max_explicit_order + 2)]
+            + [order_weight(i + 1) for i in range(max_explicit_order + 1)]
+        )
+        self._child: dict[tuple[int, int], int] = {}
+        self._counts = np.zeros((64, alphabet.size))  # doubled when full
+        self._hist: list[int] = []  # last max_explicit_order symbols of the sample
         self.log2prob: LogProb = 0.0
         self.total_length = 0
         self._max_sample_length = 0
@@ -226,13 +170,33 @@ class MixtureEstimator:
     def truncated(self) -> bool:
         return self._max_sample_length - 1 > self.max_explicit_order
 
-    def conditional_probs(self) -> np.ndarray:
+    def _path(self) -> list[int]:
+        """Nodes of the current context of orders 0, 1, ... while seen."""
+        node, path = 0, [0]
+        for s in reversed(self._hist):
+            node = self._child.get((node, s))
+            if node is None:
+                break
+            path.append(node)
+        return path
+
+    def _terms(self, path: list[int], cols: slice) -> np.ndarray:
+        """Weighted conditionals of the symbols in `cols`: row 0 is the
+        uniform tail's share, row i + 1 order i's; the rows sum to R's."""
         size = self.alphabet.size
-        probs = np.full(size, self._weights[-1] / size)
-        for w, st in zip(self._weights, self.states):
-            if w:
-                probs += w * np.asarray(st.conditional_probs())
-        return probs
+        counts = self._counts[path]
+        totals = counts.sum(axis=1, keepdims=True)  # exact: integer counts
+        cond = (counts[:, cols] + 0.5) / (totals + size / 2.0)
+        n = len(path) + 1
+        terms = np.empty((self._w.size, cond.shape[1]))
+        terms[0] = self._w[0] / size
+        terms[1:n] = self._w[1:n, None] * cond
+        terms[n:] = self._w[n:, None] * (1.0 / size)
+        return terms
+
+    def conditional_probs(self) -> np.ndarray:
+        terms = self._terms(self._path(), slice(None))
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def conditional_log2probs(self) -> np.ndarray:
         return np.log2(self.conditional_probs())
@@ -242,21 +206,34 @@ class MixtureEstimator:
 
     def append(self, a: int) -> None:
         a = int(a)
-        size = self.alphabet.size
-        joint = [self._weights[-1] / size]
-        for w, st in zip(self._weights, self.states):
-            joint.append(w * st.conditional_probs()[a])
-            st.append(a)
-        step = sum(joint)
+        path = self._path()
+        joint = self._terms(path, slice(a, a + 1))[:, 0]
+        step = np.add.accumulate(joint)[-1]
         self.log2prob += math.log2(step)
-        self._weights = [j / step for j in joint[1:]] + [joint[0] / step]
+        self._w = joint / step
+        # contexts first completed or first seen now get their nodes
+        node = path[-1]
+        for s in reversed(self._hist[:len(self._hist) - len(path) + 1]):
+            self._child[(node, s)] = node = self._new_node()
+            path.append(node)
+        self._counts[path, a] += 1.0
+        self._hist.append(a)
+        if len(self._hist) > self.max_explicit_order:
+            del self._hist[0]
         self.total_length += 1
         self._pos += 1
         self._max_sample_length = max(self._max_sample_length, self._pos)
 
+    def _new_node(self) -> int:
+        node = len(self._child) + 1
+        if node == len(self._counts):
+            grown = np.zeros((2 * node, self.alphabet.size))  # pages stay untouched
+            grown[:node] = self._counts
+            self._counts = grown
+        return node
+
     def new_sample(self) -> None:
-        for st in self.states:
-            st.new_sample()
+        self._hist = []
         self._pos = 0
 
     def consume(self, x) -> "MixtureEstimator":
@@ -267,6 +244,27 @@ class MixtureEstimator:
             for a in arr:
                 self.append(int(a))
         return self
+
+
+class KtState(MixtureEstimator):
+    """Sequential add-half estimator of fixed Markov order.
+
+    The mixture with all of its prior weight on `order` and none on the
+    uniform tail; the posterior keeps it there, so log2prob and the
+    conditionals are those of order `order` alone.  The first `order`
+    letters of each sample are priced uniformly.
+    """
+
+    def __init__(self, alphabet: Alphabet, order: int):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        super().__init__(alphabet, order)
+        self.order = order
+        self._w = np.zeros(order + 2)
+        self._w[-1] = 1.0
+
+    def conditional_probs(self) -> list[float]:
+        return super().conditional_probs().tolist()
 
 
 # ---------------------------------------------------------------------------

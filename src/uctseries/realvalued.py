@@ -52,7 +52,12 @@ def default_order_cap(depth: int) -> int:
 
 @dataclass(frozen=True)
 class Partition:
-    """Dyadic partition of [lower, upper) into 2**depth equal cells."""
+    """Dyadic partition of [lower, upper) into 2**depth equal cells.
+
+    The depth-s cell of a value is its depth-d cell shifted right by
+    d - s bits (d >= s): scaling by 2**depth is exact in floating point
+    and the clamp to the last cell commutes with the shift.
+    """
 
     lower: float
     upper: float
@@ -176,10 +181,9 @@ class DensityEstimator:
         return math.log2(self.partitions[s].cell_measure)
 
     def append(self, x: float) -> None:
+        finest = int(self.partitions[self.max_depth].cell_index([x])[0])
         for s in range(1, self.max_depth + 1):
-            cell = int(self.partitions[s].cell_index([x])[0])
-            self._estimators[s].append(cell)
-        self.partitions[0].cell_index([x])  # domain check even at depth 0
+            self._estimators[s].append(finest >> (self.max_depth - s))
         self.t += 1
 
     def consume(self, values) -> "DensityEstimator":
@@ -237,17 +241,16 @@ def density_log2(values, lower: float, upper: float,
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     t = values.size
+    finest = quantize(values, Partition(lower, upper, max_depth)).symbols
     terms = []
     for s in range(max_depth + 1):
         part = Partition(lower, upper, s)
-        w = order_weight(s + 1)
-        if s == 0:
-            part.cell_index(values)  # domain check
-            mu = 0.0
-        else:
-            q = quantize(values, part)
+        mu = 0.0
+        if s:
+            q = SymbolSeq(part.alphabet(), finest >> (max_depth - s))
             mu = r_log2prob(q, order_cap(s))
-        terms.append(math.log2(w) + mu - t * math.log2(part.cell_measure))
+        terms.append(math.log2(order_weight(s + 1)) + mu
+                     - t * math.log2(part.cell_measure))
     total = log2_sum(terms)
     if renormalize:
         weights = sum(order_weight(s + 1) for s in range(max_depth + 1))

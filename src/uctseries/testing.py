@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .coding import CodelengthProvider, ideal_r_provider
 from .estimators import (
@@ -199,6 +198,8 @@ def _cell_probs(null_density, partition: Partition) -> np.ndarray:
         if isinstance(null_density, PiecewiseConstantDensity):
             probs[i] = null_density.integral(lo, hi)
         else:
+            from scipy import integrate  # slow to import; only callables need it
+
             val, _ = integrate.quad(null_density, lo, hi, epsrel=1e-8, limit=200)
             probs[i] = val
     total = probs.sum()

@@ -259,6 +259,20 @@ class TestMonteCarloCommand:
     ["test-independence", "--in", DATA / "mixed.txt", "--alpha", "1.5"],
     ["test-independence", "--in", DATA / "mixed.txt", "--alpha", "0"],
     ["estimate", "--in", DATA / "mixed.txt", "--max-order", "two"],
+    ["test-independence", "--in", DATA / "mixed.txt", "--order", "-1"],
+    ["montecarlo", "--test", "independence", "--order", "-1"],
+    ["montecarlo", "--test", "identity", "--length", "-4"],
+    ["montecarlo", "--test", "identity", "--length", "0"],
+    ["montecarlo", "--test", "identity", "--seed", "-1"],
+    # flags the subcommand does not read
+    ["estimate", "--in", DATA / "mixed.txt", "--provider", "external", "--trials", "5"],
+    ["predict", "--in", DATA / "mixed.txt", "--order", "1"],
+    ["compress", "--in", DATA / "mixed.txt", "--out", DATA / "missing" / "x.uct", "--seed", "1"],
+    ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--max-order", "2"],
+    ["test-identity", "--in", DATA / "mixed.txt", "--null", DATA / "uniform_null.txt",
+     "--seed", "3"],
+    ["montecarlo", "--test", "identity", "--in", DATA / "mixed.txt"],
+    ["montecarlo", "--test", "identity", "--provider", "arithmetic"],
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, rep, err = run(capsys, *argv)
@@ -267,6 +281,16 @@ def test_out_of_range_option_is_usage_error(capsys, argv):
 
 
 class TestSubprocessEntry:
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate serves only callable null densities
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, uctseries; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "uctseries", "estimate",

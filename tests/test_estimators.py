@@ -202,10 +202,11 @@ class TestKtState:
 
     def test_sequential_product_equals_batch(self):
         rng = np.random.default_rng(37)
-        for m in range(4):
-            arrs = [rng.integers(0, 2, size=n).tolist() for n in (9, 4, 13)]
-            ms = MultiSample([SymbolSeq(BINARY, a) for a in arrs])
-            st = KtState(BINARY, m).consume(ms)
+        for size, m in product((2, 3), range(6)):
+            alphabet = Alphabet.of_size(size)
+            arrs = [rng.integers(0, size, size=n).tolist() for n in (9, 0, 4, 1, 13)]
+            ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+            st = KtState(alphabet, m).consume(ms)
             assert st.log2prob == pytest.approx(kt_log2prob(ms, m), abs=1e-10)
 
 
@@ -278,6 +279,36 @@ class TestMixture:
         ms = MultiSample([SymbolSeq(BINARY, a) for a in arrs])
         est = MixtureEstimator(BINARY).consume(ms)
         assert est.log2prob == pytest.approx(r_log2prob(ms), abs=1e-9)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 256])
+    @pytest.mark.parametrize("max_order", [0, 1, 3, 16])
+    def test_sequential_conditionals_equal_batch_ratios(self, size, max_order):
+        # every step against the batch measure: R(x a) / R(x), across
+        # empty and one-symbol samples; truncated below max order 16
+        rng = np.random.default_rng(size + max_order)
+        alphabet = Alphabet.of_size(size)
+        letters = [0, 1, size - 1][:size]
+        arrs = [rng.choice(letters, size=n).tolist() for n in (14, 0, 1, 19)]
+        est = MixtureEstimator(alphabet, max_order)
+        done = []
+        for j, arr in enumerate(arrs):
+            if j:
+                est.new_sample()
+            for i in range(len(arr) + 1):
+                prefix = MultiSample(done + [SymbolSeq(alphabet, arr[:i])])
+                base = r_log2prob(prefix, max_order)
+                cond = est.conditional_probs()
+                for a in sorted(set(letters)):
+                    ratio = 2 ** (r_log2prob(
+                        MultiSample(done + [SymbolSeq(alphabet, arr[:i] + [a])]),
+                        max_order) - base)
+                    assert cond[a] == pytest.approx(ratio, abs=1e-9)
+                if i < len(arr):
+                    est.append(arr[i])
+            done.append(SymbolSeq(alphabet, arr))
+        assert est.truncated == (max_order < 18)
+        assert est.log2prob == pytest.approx(
+            r_log2prob(MultiSample(done), max_order), abs=1e-9)
 
     def test_sequential_equals_batch_when_truncated(self):
         rng = np.random.default_rng(53)

@@ -1,9 +1,10 @@
-"""Byte-for-byte CLI reports and containers, and the export lists.
+"""Byte-for-byte CLI reports, containers and coder payloads, and the export lists.
 
-The files under tests/data/golden were written by the CLI itself on the
-data files of tests/data.  A change to any report or container byte is a
-change in numerics and must be deliberate: rerun this module's
-``write_goldens()`` and say so in the change log.
+The files under tests/data/golden were written by the CLI and the coder
+themselves on the data files of tests/data.  A change to any report,
+container or payload byte is a change in numerics and must be
+deliberate: rerun this module's ``write_goldens()`` and say so in the
+change log.
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.write_goldens()"
 """
@@ -13,10 +14,14 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uctseries
 from uctseries.cli import main
+from uctseries.coding import arithmetic_encode
+from uctseries.estimators import KtState, MixtureEstimator
+from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -40,7 +45,32 @@ CASES = {
     "predict_mixed": (["predict", "--in", "mixed.txt"], 0),
     "predict_side_info": (
         ["predict", "--in", "side_x.txt", "--in2", "side_y.txt"], 0),
+    "predict_two_samples": (["predict", "--in", "two_samples.txt"], 0),
     "compress_mixed": (["compress", "--in", "mixed.txt", "--out", OUT], 0),
+    "compress_ternary": (["compress", "--in", "ternary.txt", "--out", OUT], 0),
+    "compress_ternary_order0": (
+        ["compress", "--in", "ternary.txt", "--max-order", "0", "--out", OUT], 0),
+    "compress_ternary_order2": (
+        ["compress", "--in", "ternary.txt", "--max-order", "2", "--out", OUT], 0),
+}
+
+
+def _ternary() -> SymbolSeq:
+    text = (DATA / "ternary.txt").read_text(encoding="utf-8").strip()
+    return SymbolSeq(Alphabet.of_size(3), np.array([int(c) for c in text]))
+
+
+def _ternary_multi() -> MultiSample:
+    # empty and one-symbol samples between longer ones
+    sym = _ternary().symbols
+    cuts = [(0, 150), (150, 150), (150, 151), (151, 220), (220, 360)]
+    return MultiSample([SymbolSeq(Alphabet.of_size(3), sym[a:b]) for a, b in cuts])
+
+
+# name -> (data, fresh model): arithmetic_encode payload bytes, in <name>.bin
+PAYLOADS = {
+    "payload_ternary_multi": (_ternary_multi, MixtureEstimator),
+    "payload_ternary_kt2": (_ternary, lambda a: KtState(a, 2)),
 }
 
 MODULES = ["uctseries.seqmodel", "uctseries.estimators",
@@ -62,12 +92,20 @@ def run_case(name: str, out: Path) -> tuple[int, str]:
     return code, buf.getvalue().replace(str(out), OUT)
 
 
+def payload(name: str) -> bytes:
+    data, model = PAYLOADS[name]
+    x = data()
+    return arithmetic_encode(x, model(x.alphabet))[0]
+
+
 def write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in CASES:
         out = GOLDEN / f"{name}.uct"
         _, text = run_case(name, out)
         (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
+    for name in PAYLOADS:
+        (GOLDEN / f"{name}.bin").write_bytes(payload(name))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -78,6 +116,11 @@ def test_report_is_byte_identical(name, tmp_path):
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     if OUT in CASES[name][0]:
         assert out.read_bytes() == (GOLDEN / f"{name}.uct").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_payload_is_byte_identical(name):
+    assert payload(name) == (GOLDEN / f"{name}.bin").read_bytes()
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -63,6 +63,27 @@ class TestPartition:
             fine = Partition(-1.0, 1.0, s + 1).cell_index(xs)
             assert (fine // 2 == coarse).all()
 
+    @pytest.mark.parametrize("lower,upper", [
+        (0.0, 1.0), (-1.0, 1.0), (0.1, 0.7), (-3.3, 1e-3), (1e6, 1e6 + 3.7),
+        (-1e-9, 2e-9),
+    ])
+    def test_finest_cell_shifted_is_coarse_cell(self, lower, upper):
+        # the quantizers read each value once, at the finest depth, and
+        # shift; every cell edge, its float neighbours and the last value
+        # below the upper bound are where rounding could break that
+        depth = 10
+        edges = Partition(lower, upper, depth).edges()
+        xs = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [lower, np.nextafter(upper, lower)],
+            np.random.default_rng(11).uniform(lower, upper, size=2000),
+        ])
+        xs = xs[(xs >= lower) & (xs < upper)]
+        finest = Partition(lower, upper, depth).cell_index(xs)
+        for s in range(depth + 1):
+            coarse = Partition(lower, upper, s).cell_index(xs)
+            assert (finest >> (depth - s) == coarse).all()
+
 
 class TestQuantize:
     def test_returns_symbolseq_over_cell_alphabet(self):
@@ -126,8 +147,13 @@ class TestDensityEstimate:
         assert bits == pytest.approx(0.0, abs=0.05)
 
     def test_out_of_domain(self):
-        with pytest.raises(DomainError):
-            density_log2([0.5, 1.2], 0.0, 1.0, max_depth=2)
+        for max_depth in (0, 2):
+            with pytest.raises(DomainError):
+                density_log2([0.5, 1.2], 0.0, 1.0, max_depth=max_depth)
+            est = DensityEstimator(0.0, 1.0, max_depth=max_depth).consume([0.5])
+            with pytest.raises(DomainError):
+                est.append(1.0)
+            assert est.t == 1
 
 
 class TestConditionalDensity:
