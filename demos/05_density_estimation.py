@@ -15,7 +15,6 @@ from uctseries import (
     conditional_density,
     density_log2,
     event_probability,
-    expectation,
     sign_process_generate,
 )
 
@@ -36,7 +35,7 @@ print("=== Conditional density after a positive value ===")
 data = sign_process_generate(alpha, 20_000, seed=11)
 hist = data if data[-1] >= 0 else data[:-1]
 est = DensityEstimator(-1.0, 1.0, max_depth=4).consume(hist)
-p_neg = event_probability([(-1.0, 0.0)], None, -1.0, 1.0, estimator=est)
+p_neg = est.conditional().integral(-1.0, 0.0)
 print(f"  learned P(next < 0 | last value >= 0) = {p_neg:.4f}  (true 0.9)")
 for point in (-0.5, 0.5):
     d = 2 ** est.conditional_log2_density(point)
@@ -47,8 +46,9 @@ print()
 print("=== Events and expectations under the estimate ===")
 uniform_hist = rng.random(10_000)
 est = DensityEstimator(0.0, 1.0, max_depth=4).consume(uniform_hist)
-p_half = event_probability([(0.0, 0.5)], None, 0.0, 1.0, estimator=est)
-mean = expectation([0.0, 1.0], [0.0, 1.0], None, 0.0, 1.0, estimator=est)
+cond = est.conditional()
+p_half = cond.integral(0.0, 0.5)
+mean = cond.expectation([0.0, 1.0], [0.0, 1.0])
 print(f"  uniform history: P(next < 1/2) = {p_half:.4f}, E[next] = {mean:.4f}")
 
 print()

@@ -237,9 +237,7 @@ def cmd_compress(args) -> int:
         raise ValueError("compress takes a single sample (no blank-line separators)")
     if not args.out:
         raise _UsageError("compress requires --out for the binary container")
-    model = MixtureEstimator(alphabet, args.max_order)
-    payload, nbits = coding.arithmetic_encode(x, model)
-    blob = coding.container_header(alphabet.size, len(x), "r") + payload
+    blob, nbits = coding.compress_container(x, MixtureEstimator(alphabet, args.max_order))
     with open(args.out, "wb") as fh:
         fh.write(blob)
     ideal = -r_log2prob(x, args.max_order)
@@ -261,12 +259,8 @@ def cmd_decompress(args) -> int:
         raise _UsageError("decompress requires --out for the decoded text")
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    alphabet = _parse_alphabet(args.alphabet)
-    model = None
-    if alphabet is not None:
-        model = coding.model_for_id("r", alphabet, args.max_order)
     seq, header = coding.decompress_container(
-        blob, model=model, alphabet=alphabet, max_explicit_order=args.max_order
+        blob, alphabet=_parse_alphabet(args.alphabet), max_explicit_order=args.max_order
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_format_symbols(seq, seq.alphabet))
@@ -504,7 +498,7 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, help_text, flags in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)

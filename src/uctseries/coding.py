@@ -98,20 +98,14 @@ def ideal_r_provider(max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
     )
 
 
-def arithmetic_provider(model_factory=None,
-                        max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+def arithmetic_provider(max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
                         ) -> CodelengthProvider:
-    """Actual emitted-bit count of the arithmetic coder (integer bits).
-
-    `model_factory(alphabet)` builds a fresh sequential model per call;
-    the default is the mixture estimator.
-    """
-    if model_factory is None:
-        model_factory = lambda alphabet: MixtureEstimator(alphabet, max_explicit_order)
+    """Actual emitted-bit count of the arithmetic coder driven by a fresh
+    mixture estimator per call (integer bits)."""
 
     def fn(x):
         alphabet, _ = as_sample_arrays(x)
-        _, nbits = arithmetic_encode(x, model_factory(alphabet))
+        _, nbits = arithmetic_encode(x, MixtureEstimator(alphabet, max_explicit_order))
         return float(nbits)
 
     return CodelengthProvider(kind="arithmetic-coder", name="arithmetic", _fn=fn)
@@ -423,12 +417,15 @@ def container_header(alphabet_size: int, length: int, model_name: str = "r") -> 
     )
 
 
-def compress_container(x: SymbolSeq, model, model_name: str = "r") -> bytes:
-    """Encode a single sequence into the framed container format."""
+def compress_container(x: SymbolSeq, model, model_name: str = "r") -> tuple[bytes, int]:
+    """Encode a single sequence into the framed container format.
+
+    Returns (container bytes, payload bit count).
+    """
     if isinstance(x, MultiSample):
         raise ValueError("the container format holds a single sequence")
-    payload, _ = arithmetic_encode(x, model)
-    return container_header(x.alphabet.size, len(x), model_name) + payload
+    payload, nbits = arithmetic_encode(x, model)
+    return container_header(x.alphabet.size, len(x), model_name) + payload, nbits
 
 
 def decompress_container(data: bytes, model=None, alphabet: Alphabet | None = None,

@@ -44,7 +44,7 @@ class DomainError(ValueError):
     """A value lies outside the configured half-open domain."""
 
 
-def default_order_cap(depth: int) -> int:
+def _order_cap(depth: int) -> int:
     # High Markov orders are vacuous once the alphabet grows: 2^depth
     # cells leave too few windows per context at desk scale.
     return 8 if depth <= 2 else 2
@@ -138,9 +138,55 @@ class PiecewiseConstantDensity:
         right = np.clip(bp[1:], lo, hi)
         return float(((right - left) * vals).sum())
 
+    def expectation(self, xs, ys) -> float:
+        """Integral of f times the density, f the linear interpolant of the
+        table (xs, ys), held at its end values beyond it (numpy.interp).
+
+        Exact: between consecutive breakpoints of f and of the density the
+        integrand is linear, so the trapezoid rule is exact on each piece.
+        """
+        bp = np.asarray(self.breakpoints)
+        xs = np.asarray(xs, dtype=float)
+        grid = np.union1d(bp, np.clip(xs, bp[0], bp[-1]))
+        f_at = np.interp(grid, xs, ys)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        dens = np.asarray(self.values)[np.searchsorted(bp, mids, side="right") - 1]
+        seg = (grid[1:] - grid[:-1]) * 0.5 * (f_at[:-1] + f_at[1:]) * dens
+        return float(seg.sum())
+
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "PiecewiseConstantDensity":
         return cls((lower, upper), (1.0 / (upper - lower),))
+
+
+# The depth mixture, shared by the batch and the sequential estimate:
+# depth s contributes w_{s+1} * mu_s(x) / |cell_s|^t, where mu_s is the
+# quantized measure of the t values at depth s.
+
+
+def _log2_cell_volumes(finest: Partition) -> np.ndarray:
+    """log2 of the cell measure at each depth 0..finest.depth."""
+    width = finest.upper - finest.lower
+    return np.array([math.log2(width / (1 << s)) for s in range(finest.depth + 1)])
+
+
+def _depth_log2_terms(finest: Partition, t: int, mus) -> np.ndarray:
+    """log2 w_{s+1} + mu_s - t*log2|cell_s| for depths s = 0..finest.depth.
+
+    The single cell of depth 0 has quantized measure 1, so mu_0 = 0.
+    """
+    log2_weights = np.array([math.log2(order_weight(s + 1))
+                             for s in range(finest.depth + 1)])
+    return log2_weights + np.asarray(mus, dtype=float) - t * _log2_cell_volumes(finest)
+
+
+def _mixture_log2(terms, renormalize: bool) -> float:
+    """log2 of the summed depth terms, divided by the weight total when
+    renormalizing (the weights alone are a strict sub-probability)."""
+    total = log2_sum(terms)
+    if renormalize:
+        total -= math.log2(sum(order_weight(s + 1) for s in range(len(terms))))
+    return float(total)
 
 
 class DensityEstimator:
@@ -150,40 +196,25 @@ class DensityEstimator:
     of the depth-s quantized sequence divided by the Lebesgue measure of
     its cells, with depth weights w_1..w_{max_depth+1}.  The weights are
     used as-is (a strict sub-probability, conservative for log-loss)
-    unless renormalize is set.
+    unless renormalize is set; the conditional density is the same
+    either way.
     """
 
     def __init__(self, lower: float, upper: float,
                  max_depth: int = DEFAULT_MAX_DEPTH,
-                 renormalize: bool = False,
-                 order_cap=default_order_cap):
-        if not upper > lower:
-            raise ValueError("domain upper bound must exceed lower bound")
-        self.lower = float(lower)
-        self.upper = float(upper)
-        self.max_depth = int(max_depth)
+                 renormalize: bool = False):
+        self.partition = Partition(lower, upper, int(max_depth))  # the finest
         self.renormalize = bool(renormalize)
-        self.partitions = [Partition(lower, upper, s) for s in range(max_depth + 1)]
-        self._estimators = [
-            MixtureEstimator(p.alphabet(), order_cap(s)) if s else None
-            for s, p in enumerate(self.partitions)
-        ]
-        weights = np.array([order_weight(s + 1) for s in range(max_depth + 1)])
-        if renormalize:
-            weights = weights / weights.sum()
-        self._log2_weights = np.log2(weights)
+        # depths 1..max_depth; depth 0 needs no estimator (mu_0 = 0)
+        self._estimators = [MixtureEstimator(Alphabet.of_size(1 << s), _order_cap(s))
+                            for s in range(1, self.partition.depth + 1)]
         self.t = 0
 
-    # depth 0 is the single-cell partition: its quantized measure is
-    # identically 1, so only the volume term survives (estimator None).
-
-    def _log2_volume(self, s: int) -> float:
-        return math.log2(self.partitions[s].cell_measure)
-
     def append(self, x: float) -> None:
-        finest = int(self.partitions[self.max_depth].cell_index([x])[0])
-        for s in range(1, self.max_depth + 1):
-            self._estimators[s].append(finest >> (self.max_depth - s))
+        finest = int(self.partition.cell_index([x])[0])
+        depth = self.partition.depth
+        for s, est in enumerate(self._estimators, start=1):
+            est.append(finest >> (depth - s))
         self.t += 1
 
     def consume(self, values) -> "DensityEstimator":
@@ -192,125 +223,100 @@ class DensityEstimator:
         return self
 
     def depth_log2_terms(self) -> np.ndarray:
-        """Per-depth log2 of weight * quantized probability / cell volume^t."""
-        terms = np.empty(self.max_depth + 1)
-        for s in range(self.max_depth + 1):
-            mu = 0.0 if s == 0 else self._estimators[s].log2prob
-            terms[s] = self._log2_weights[s] + mu - self.t * self._log2_volume(s)
-        return terms
+        """Per-depth log2 of weight * quantized probability / cell volume^t,
+        with the prior weights as-is (log2_density renormalizes)."""
+        mus = [0.0] + [est.log2prob for est in self._estimators]
+        return _depth_log2_terms(self.partition, self.t, mus)
 
     @property
     def log2_density(self) -> float:
         """log2 of the joint density of everything consumed so far."""
-        return log2_sum(self.depth_log2_terms())
+        return _mixture_log2(self.depth_log2_terms(), self.renormalize)
 
     def conditional_cell_log2densities(self) -> np.ndarray:
         """log2 conditional density over the finest-partition cells.
 
         The conditional density given the consumed history is piecewise
-        constant on the 2^max_depth finest cells.
+        constant on the 2^max_depth finest cells: each depth's next-cell
+        conditional, spread evenly over its cell, weighted by the depth's
+        posterior weight.
         """
         terms = self.depth_log2_terms()
-        joint = log2_sum(terms)
-        finest = self.partitions[self.max_depth].cells
-        out = np.full(finest, -math.inf)
-        for s in range(self.max_depth + 1):
-            weight = terms[s] - joint
-            if s == 0:
-                cond = np.zeros(1)
-            else:
-                cond = self._estimators[s].conditional_log2probs()
-            block = finest >> s  # finest cells per depth-s cell
-            contrib = weight + np.repeat(cond, block) - self._log2_volume(s)
-            out = np.logaddexp2(out, contrib)
+        weights = terms - log2_sum(terms)
+        conds = [np.zeros(1)] + [est.conditional_log2probs() for est in self._estimators]
+        cells = self.partition.cells
+        out = np.full(cells, -math.inf)
+        for s, log2_volume in enumerate(_log2_cell_volumes(self.partition)):
+            out = np.logaddexp2(out, weights[s] + np.repeat(conds[s], cells >> s)
+                                - log2_volume)
         return out
 
     def conditional_log2_density(self, x: float) -> float:
-        cell = int(self.partitions[self.max_depth].cell_index([x])[0])
+        cell = int(self.partition.cell_index([x])[0])
         return float(self.conditional_cell_log2densities()[cell])
+
+    def conditional(self) -> PiecewiseConstantDensity:
+        """Density of the next value given everything consumed so far."""
+        return PiecewiseConstantDensity(
+            tuple(self.partition.edges().tolist()),
+            tuple(np.exp2(self.conditional_cell_log2densities()).tolist()),
+        )
 
 
 def density_log2(values, lower: float, upper: float,
                  max_depth: int = DEFAULT_MAX_DEPTH,
-                 renormalize: bool = False,
-                 order_cap=default_order_cap) -> float:
+                 renormalize: bool = False) -> float:
     """Batch log2 joint density of a real sequence (fast path).
 
     Equivalent to consuming the sequence with DensityEstimator but
     evaluated per depth with the batch mixture, which is much faster.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    t = values.size
-    finest = quantize(values, Partition(lower, upper, max_depth)).symbols
-    terms = []
-    for s in range(max_depth + 1):
-        part = Partition(lower, upper, s)
-        mu = 0.0
-        if s:
-            q = SymbolSeq(part.alphabet(), finest >> (max_depth - s))
-            mu = r_log2prob(q, order_cap(s))
-        terms.append(math.log2(order_weight(s + 1)) + mu
-                     - t * math.log2(part.cell_measure))
-    total = log2_sum(terms)
-    if renormalize:
-        weights = sum(order_weight(s + 1) for s in range(max_depth + 1))
-        total -= math.log2(weights)
-    return float(total)
+    finest = Partition(lower, upper, max_depth)
+    cells = quantize(values, finest).symbols
+    mus = [0.0] + [
+        r_log2prob(SymbolSeq(Alphabet.of_size(1 << s), cells >> (max_depth - s)),
+                   _order_cap(s))
+        for s in range(1, max_depth + 1)
+    ]
+    return _mixture_log2(_depth_log2_terms(finest, cells.size, mus), renormalize)
 
 
-def _history_estimator(history, lower, upper, max_depth, renormalize,
-                       order_cap) -> DensityEstimator:
-    est = DensityEstimator(lower, upper, max_depth=max_depth,
-                           renormalize=renormalize, order_cap=order_cap)
-    if history is not None and len(np.atleast_1d(history)):
-        est.consume(history)
-    return est
+def _history_estimator(history, lower, upper, max_depth) -> DensityEstimator:
+    est = DensityEstimator(lower, upper, max_depth)
+    return est if history is None else est.consume(history)
 
 
 def conditional_density(x_next: float, history, lower: float, upper: float,
-                        max_depth: int = DEFAULT_MAX_DEPTH,
-                        renormalize: bool = False,
-                        order_cap=default_order_cap) -> float:
+                        max_depth: int = DEFAULT_MAX_DEPTH) -> float:
     """log2 conditional density of the next value given the history."""
-    est = _history_estimator(history, lower, upper, max_depth, renormalize,
-                             order_cap)
+    est = _history_estimator(history, lower, upper, max_depth)
     return est.conditional_log2_density(float(x_next))
 
 
 def event_probability(intervals, history, lower: float, upper: float,
-                      max_depth: int = DEFAULT_MAX_DEPTH,
-                      renormalize: bool = False,
-                      order_cap=default_order_cap,
-                      estimator: DensityEstimator | None = None) -> float:
+                      max_depth: int = DEFAULT_MAX_DEPTH) -> float:
     """Probability of a finite union of disjoint intervals under the
     conditional.
 
     The conditional density is piecewise constant on the finest cells, so
     the integral is an exact sum of cell overlaps.
     """
-    est = estimator or _history_estimator(history, lower, upper, max_depth,
-                                          renormalize, order_cap)
-    dens = np.exp2(est.conditional_cell_log2densities())
-    edges = est.partitions[est.max_depth].edges()
-    total = 0.0
-    for pair in intervals:
-        lo, hi = float(pair[0]), float(pair[1])
+    pairs = [(float(lo), float(hi)) for lo, hi in intervals]
+    for lo, hi in pairs:
         if hi < lo:
             raise ValueError(f"malformed interval ({lo}, {hi})")
-        if lo < est.lower or hi > est.upper:
+        if lo < lower or hi > upper:
             raise DomainError("interval extends outside the domain")
-        left = np.clip(edges[:-1], lo, hi)
-        right = np.clip(edges[1:], lo, hi)
-        total += float(((right - left) * dens).sum())
+    cond = _history_estimator(history, lower, upper, max_depth).conditional()
+    total = 0.0
+    for lo, hi in pairs:
+        total += cond.integral(lo, hi)
     return total
 
 
 def expectation(f_breakpoints, f_values, history, lower: float, upper: float,
                 max_depth: int = DEFAULT_MAX_DEPTH,
-                renormalize: bool = False,
-                order_cap=default_order_cap,
-                bound: float | None = None,
-                estimator: DensityEstimator | None = None) -> float:
+                bound: float | None = None) -> float:
     """Integral of a piecewise-linear function against the conditional.
 
     The function is given as a table (breakpoints, values) that must
@@ -327,19 +333,8 @@ def expectation(f_breakpoints, f_values, history, lower: float, upper: float,
         raise ValueError("function table has gaps: it must cover the domain")
     if bound is not None and np.abs(ys).max() > bound + 1e-12:
         raise ValueError("function values exceed the declared bound")
-    est = estimator or _history_estimator(history, lower, upper, max_depth,
-                                          renormalize, order_cap)
-    dens = np.exp2(est.conditional_cell_log2densities())
-    edges = est.partitions[est.max_depth].edges()
-    grid = np.union1d(edges, np.clip(xs, lower, upper))
-    grid = grid[(grid >= lower) & (grid <= upper)]
-    f_at = np.interp(grid, xs, ys)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    cells = np.minimum(
-        ((mids - lower) / (upper - lower) * dens.size).astype(int), dens.size - 1
-    )
-    seg = (grid[1:] - grid[:-1]) * 0.5 * (f_at[:-1] + f_at[1:]) * dens[cells]
-    return float(seg.sum())
+    cond = _history_estimator(history, lower, upper, max_depth).conditional()
+    return cond.expectation(xs, ys)
 
 
 def sign_process_generate(alpha_param: float, t: int, seed: int = 0) -> np.ndarray:

@@ -212,7 +212,6 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
                         max_depth: int = 8,
                         domain: tuple[float, float] = (0.0, 1.0),
                         null_density=None,
-                        provider_factory=None,
                         scheme=None,
                         max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
                         ) -> TestReport:
@@ -237,8 +236,7 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
         raise ValueError("identity meta-test needs a null density")
     data = np.asarray(data, dtype=float).reshape(-1)
     t = data.size
-    if provider_factory is None:
-        provider_factory = lambda partition: ideal_r_provider(max_explicit_order)
+    provider = ideal_r_provider(max_explicit_order)
     if scheme is None:
         scheme = [Partition(domain[0], domain[1], depth) for depth in
                   range(1, max_depth + 1)]
@@ -250,7 +248,6 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
 
     subs: list[TestReport] = []
     i_stop = None
-    provider_name = None
     for i, partition in enumerate(scheme, start=1):
         level = alpha * order_weight(i)
         max_statistic = t * math.log2(partition.cells)
@@ -258,8 +255,6 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
             i_stop = i
             break
         quantized = quantize(data, partition)
-        provider = provider_factory(partition)
-        provider_name = provider.name
         if kind == "si":
             sub = serial_independence_test(quantized, 0, level, provider)
         else:
@@ -276,7 +271,7 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
         statistic_bits=statistic,
         threshold_bits=0.0,
         verdict=_verdict(statistic, 0.0),
-        provider=provider_name or "none",
+        provider=provider.name if subs else "none",
         order=0,
         lengths=[t],
         sub_reports=subs,

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from uctseries.cli import main
+from uctseries.coding import compress_container, model_for_id
+from uctseries.seqmodel import Alphabet, SymbolSeq
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,6 +106,20 @@ class TestCompressRoundTrip:
         )
         assert code == 0
         assert text.read_text() == (DATA / "mixed.txt").read_text()
+
+    @pytest.mark.parametrize("name", ["kt", "uniform"])
+    def test_alphabet_flag_decodes_with_the_header_model(self, capsys, tmp_path, name):
+        text = "0001101110010111000011"
+        x = SymbolSeq.from_labels(Alphabet.of_size(2), list(text))
+        blob = tmp_path / f"{name}.uct"
+        blob.write_bytes(compress_container(x, model_for_id(name, x.alphabet),
+                                            model_name=name)[0])
+        out = tmp_path / f"{name}.txt"
+        code, rep, _ = run(capsys, "decompress", "--in", blob, "--out", out,
+                           "--alphabet", "2")
+        assert code == 0
+        assert rep["model"] == name
+        assert out.read_text() == text + "\n"
 
     def test_multisample_input_rejected(self, capsys, tmp_path):
         code, _, err = run(
@@ -273,6 +289,10 @@ class TestMonteCarloCommand:
      "--seed", "3"],
     ["montecarlo", "--test", "identity", "--in", DATA / "mixed.txt"],
     ["montecarlo", "--test", "identity", "--provider", "arithmetic"],
+    # prefixes of flags the subcommand reads
+    ["compress", "--in", DATA / "mixed.txt", "--out", DATA / "missing" / "x.uct",
+     "--alpha", "0.1"],
+    ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--dep", "3"],
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, rep, err = run(capsys, *argv)

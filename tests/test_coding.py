@@ -197,7 +197,7 @@ class TestArithmeticCodec:
 class TestContainer:
     def test_round_trip(self):
         x = seq("0100100101101")
-        blob = compress_container(x, MixtureEstimator(BINARY))
+        blob, _ = compress_container(x, MixtureEstimator(BINARY))
         out, header = decompress_container(blob)
         assert (out.symbols == x.symbols).all()
         assert header == {"alphabet_size": 2, "length": 13, "model": "r"}
@@ -207,18 +207,18 @@ class TestContainer:
             decompress_container(b"XXXX" + bytes(11))
 
     def test_truncated_header(self):
-        blob = compress_container(seq("01"), MixtureEstimator(BINARY))
+        blob, _ = compress_container(seq("01"), MixtureEstimator(BINARY))
         with pytest.raises(ValueError, match="truncated"):
             decompress_container(blob[:9])
 
     def test_alphabet_size_mismatch(self):
-        blob = compress_container(seq("01"), MixtureEstimator(BINARY))
+        blob, _ = compress_container(seq("01"), MixtureEstimator(BINARY))
         with pytest.raises(ValueError, match="differs"):
             decompress_container(blob, alphabet=Alphabet.of_size(3))
 
     def test_kt_model_round_trip(self):
         x = seq("0011001100110011")
-        blob = compress_container(x, KtState(BINARY, 1), model_name="kt")
+        blob, _ = compress_container(x, KtState(BINARY, 1), model_name="kt")
         out, header = decompress_container(blob, model=KtState(BINARY, 1))
         assert (out.symbols == x.symbols).all()
         assert header["model"] == "kt"

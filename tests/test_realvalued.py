@@ -106,10 +106,13 @@ class TestDensityEstimate:
     def test_batch_equals_sequential(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(0, 1, size=60)
-        est = DensityEstimator(0.0, 1.0, max_depth=3).consume(xs)
-        assert est.log2_density == pytest.approx(
-            density_log2(xs, 0.0, 1.0, max_depth=3), abs=1e-9
-        )
+        for renormalize in (False, True):
+            est = DensityEstimator(0.0, 1.0, max_depth=3,
+                                   renormalize=renormalize).consume(xs)
+            assert est.log2_density == pytest.approx(
+                density_log2(xs, 0.0, 1.0, max_depth=3, renormalize=renormalize),
+                abs=1e-9,
+            )
 
     def test_mixture_lower_bound(self):
         rng = np.random.default_rng(7)
@@ -188,9 +191,7 @@ class TestConditionalDensity:
         assert data[-1] >= 0 or data[-2] >= 0
         hist = data if data[-1] >= 0 else data[:-1]
         est = DensityEstimator(-1.0, 1.0, max_depth=3).consume(hist)
-        p_neg = event_probability(
-            [(-1.0, 0.0)], None, -1.0, 1.0, estimator=est
-        )
+        p_neg = est.conditional().integral(-1.0, 0.0)
         assert p_neg == pytest.approx(0.9, abs=0.05)
 
 
@@ -220,6 +221,35 @@ class TestEventProbability:
             event_probability([(0.5, 1.5)], [0.5], 0.0, 1.0)
 
 
+class TestPiecewiseConstantDensity:
+    def test_expectation_matches_midpoint_sum(self):
+        # density breakpoints are multiples of 1/16, so the midpoint grid
+        # below never straddles a jump; the function's kinks fall inside
+        # grid cells and its table reaches past the support at both ends
+        dens = PiecewiseConstantDensity(
+            (0.0, 0.125, 0.375, 0.5, 0.8125, 1.0), (0.3, 2.1, 0.0, 1.7, 0.9)
+        )
+        xs = [-0.4, 0.07, 0.3, 0.61, 1.37]
+        ys = [1.5, -2.0, 0.25, 3.0, -1.0]
+        n = 1 << 20
+        mids = (np.arange(n) + 0.5) / n
+        vals = np.asarray(dens.values)[
+            np.searchsorted(dens.breakpoints, mids, side="right") - 1
+        ]
+        oracle = float((np.interp(mids, xs, ys) * vals).sum() / n)
+        assert dens.expectation(xs, ys) == pytest.approx(oracle, abs=1e-9)
+
+    def test_estimator_conditional_on_finest_cells(self):
+        rng = np.random.default_rng(37)
+        est = DensityEstimator(-1.0, 1.0, max_depth=3).consume(rng.uniform(-1, 1, 30))
+        cond = est.conditional()
+        assert cond.breakpoints == tuple(Partition(-1.0, 1.0, 3).edges().tolist())
+        assert cond.values == tuple(
+            np.exp2(est.conditional_cell_log2densities()).tolist()
+        )
+        assert cond.integral(-1.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+
+
 class TestExpectation:
     def test_constant_function(self):
         rng = np.random.default_rng(23)
@@ -239,11 +269,9 @@ class TestExpectation:
         est = DensityEstimator(0.0, 1.0, max_depth=4).consume(hist)
         # indicator of [0, 0.5) as a piecewise-linear table with a sharp edge
         eps = 1e-9
-        v = expectation(
-            [0.0, 0.5 - eps, 0.5, 1.0], [1.0, 1.0, 0.0, 0.0], None, 0.0, 1.0,
-            estimator=est,
-        )
-        p = event_probability([(0.0, 0.5)], None, 0.0, 1.0, estimator=est)
+        cond = est.conditional()
+        v = cond.expectation([0.0, 0.5 - eps, 0.5, 1.0], [1.0, 1.0, 0.0, 0.0])
+        p = cond.integral(0.0, 0.5)
         assert v == pytest.approx(p, abs=1e-6)
 
     def test_table_gap_rejected(self):
