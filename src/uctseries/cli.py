@@ -215,9 +215,8 @@ def cmd_predict(args) -> int:
             )
         pair = estimators.PairAlphabet(alphabet, y_alphabet)
         history = list(zip(x.symbols.tolist(), y.symbols.tolist()))
-        est = MixtureEstimator(pair.product, args.max_order)
         lps = estimators.side_info_cond_log2probs(
-            pair, history, int(y.symbols[-1]), est
+            pair, history, int(y.symbols[-1]), args.max_order
         )
         probs = np.exp2(lps)
         report["side_info"] = y_alphabet.labels[int(y.symbols[-1])]
@@ -237,7 +236,7 @@ def cmd_compress(args) -> int:
         raise ValueError("compress takes a single sample (no blank-line separators)")
     if not args.out:
         raise _UsageError("compress requires --out for the binary container")
-    blob, nbits = coding.compress_container(x, MixtureEstimator(alphabet, args.max_order))
+    blob, nbits = coding.compress_container(x, max_explicit_order=args.max_order)
     with open(args.out, "wb") as fh:
         fh.write(blob)
     ideal = -r_log2prob(x, args.max_order)
@@ -328,13 +327,10 @@ def _mc_trial(payload) -> bool:
     max_order = cfg["max_order"]
     provider = coding.ideal_r_provider(max_order)
     if kind == "identity":
-        null = MarkovSource.from_text(cfg["null_text"])
-        source = MarkovSource.from_text(cfg["source_text"])
-        x = source.sample(cfg["length"], rng)
-        return testing.identity_test(x, null, alpha, provider).rejected
+        x = cfg["source"].sample(cfg["length"], rng)
+        return testing.identity_test(x, cfg["null"], alpha, provider).rejected
     if kind == "independence":
-        source = MarkovSource.from_text(cfg["source_text"])
-        x = source.sample(cfg["length"], rng)
+        x = cfg["source"].sample(cfg["length"], rng)
         return testing.serial_independence_test(x, cfg["order"], alpha,
                                                 provider).rejected
     if kind == "partition-si":
@@ -390,13 +386,11 @@ def cmd_montecarlo(args) -> int:
     if kind == "identity":
         null = (MarkovSource.from_file(args.null) if args.null
                 else MarkovSource.uniform(_parse_alphabet(args.alphabet or "2")))
-        cfg["null_text"] = null.to_text()
-        source = MarkovSource.from_file(args.source) if args.source else null
-        cfg["source_text"] = source.to_text()
+        cfg["null"] = null
+        cfg["source"] = MarkovSource.from_file(args.source) if args.source else null
     elif kind == "independence":
-        source = (MarkovSource.from_file(args.source) if args.source
-                  else MarkovSource.uniform(_parse_alphabet(args.alphabet or "2")))
-        cfg["source_text"] = source.to_text()
+        cfg["source"] = (MarkovSource.from_file(args.source) if args.source
+                         else MarkovSource.uniform(_parse_alphabet(args.alphabet or "2")))
     elif kind != "partition-si":
         raise _UsageError(f"unknown Monte Carlo test {kind!r}")
     rejected = _run_pool(kind, cfg, args.trials)

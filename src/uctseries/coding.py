@@ -13,7 +13,9 @@ import math
 import shlex
 import struct
 import subprocess
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "arithmetic_encode",
     "arithmetic_provider",
     "compress_container",
-    "container_header",
     "decompress_container",
     "external_codelength",
     "external_provider",
@@ -183,41 +184,6 @@ _THREE_QUARTERS = _HALF + _QUARTER
 _FREQ_BITS = 60
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self._acc = 0
-        self._n = 0
-        self.nbits = 0
-
-    def write(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | bit
-        self._n += 1
-        self.nbits += 1
-        if self._n == 8:
-            self.buf.append(self._acc)
-            self._acc = 0
-            self._n = 0
-
-    def getvalue(self) -> bytes:
-        if self._n:
-            return bytes(self.buf) + bytes([self._acc << (8 - self._n)])
-        return bytes(self.buf)
-
-
-class _BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self) -> int:
-        i, r = divmod(self.pos, 8)
-        self.pos += 1
-        if i >= len(self.data):
-            return 0
-        return (self.data[i] >> (7 - r)) & 1
-
-
 def _cumulative_freqs(probs) -> list[int]:
     """Quantize conditional probabilities to integer frequencies.
 
@@ -238,87 +204,82 @@ def _cumulative_freqs(probs) -> list[int]:
     return cum
 
 
-class _Encoder:
-    def __init__(self):
+class _RangeCoder:
+    """The range [low, high] of both directions (Witten, Neal & Cleary 1987).
+
+    Without a payload it encodes: each shift of the range emits a bit or,
+    straddling the midpoint, counts a pending bit.  With a payload it
+    decodes: `value` holds the next 62 payload bits (zeros past the end)
+    and each shift reads one more.
+    """
+
+    def __init__(self, payload: bytes | None = None):
         self.low = 0
         self.high = _FULL - 1
-        self.pending = 0
-        self.out = _BitWriter()
+        self.decoding = payload is not None
+        if self.decoding:
+            bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tolist()
+            self._bits = chain(bits, repeat(0))
+            self.value = 0
+            for _ in range(_PRECISION):
+                self.value = (self.value << 1) | next(self._bits)
+        else:
+            self.bits: list[int] = []
+            self.pending = 0
+
+    def code(self, cum: list[int], a: int) -> int:
+        """Narrow the range to symbol `a` (decoding: the symbol `value`
+        falls in) and return that symbol."""
+        total = cum[-1]
+        span = self.high - self.low + 1
+        if self.decoding:
+            target = ((self.value - self.low + 1) * total - 1) // span
+            a = bisect_right(cum, target) - 1
+        self.high = self.low + span * cum[a + 1] // total - 1
+        self.low = self.low + span * cum[a] // total
+        while True:
+            if self.high < _HALF:
+                bit, shift = 0, 0
+            elif self.low >= _HALF:
+                bit, shift = 1, _HALF
+            elif self.low >= _QUARTER and self.high < _THREE_QUARTERS:
+                bit, shift = None, _QUARTER
+            else:
+                return a
+            self.low = (self.low - shift) << 1
+            self.high = ((self.high - shift) << 1) | 1
+            if self.decoding:
+                self.value = ((self.value - shift) << 1) | next(self._bits)
+            elif bit is None:
+                self.pending += 1
+            else:
+                self._emit(bit)
 
     def _emit(self, bit: int) -> None:
-        self.out.write(bit)
-        other = bit ^ 1
-        for _ in range(self.pending):
-            self.out.write(other)
+        self.bits.append(bit)
+        self.bits.extend([bit ^ 1] * self.pending)
         self.pending = 0
 
-    def encode(self, cum: list[int], a: int) -> None:
-        total = cum[-1]
-        span = self.high - self.low + 1
-        self.high = self.low + span * cum[a + 1] // total - 1
-        self.low = self.low + span * cum[a] // total
-        while True:
-            if self.high < _HALF:
-                self._emit(0)
-            elif self.low >= _HALF:
-                self._emit(1)
-                self.low -= _HALF
-                self.high -= _HALF
-            elif self.low >= _QUARTER and self.high < _THREE_QUARTERS:
-                self.pending += 1
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-            else:
-                break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
-
     def finish(self) -> tuple[bytes, int]:
+        """Encoder: flush, and return (payload bytes, payload bit count)."""
         self.pending += 1
         self._emit(0 if self.low < _QUARTER else 1)
-        return self.out.getvalue(), self.out.nbits
+        return np.packbits(np.array(self.bits, dtype=np.uint8)).tobytes(), len(self.bits)
 
 
-class _Decoder:
-    def __init__(self, data: bytes):
-        self.low = 0
-        self.high = _FULL - 1
-        self.reader = _BitReader(data)
-        self.value = 0
-        for _ in range(_PRECISION):
-            self.value = (self.value << 1) | self.reader.read()
+def _code(coder: _RangeCoder, model, samples: list) -> list:
+    """The per-symbol step of both directions, sample after sample.
 
-    def decode(self, cum: list[int]) -> int:
-        total = cum[-1]
-        span = self.high - self.low + 1
-        target = ((self.value - self.low + 1) * total - 1) // span
-        lo, hi = 0, len(cum) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cum[mid] <= target:
-                lo = mid
-            else:
-                hi = mid
-        a = lo
-        self.high = self.low + span * cum[a + 1] // total - 1
-        self.low = self.low + span * cum[a] // total
-        while True:
-            if self.high < _HALF:
-                pass
-            elif self.low >= _HALF:
-                self.low -= _HALF
-                self.high -= _HALF
-                self.value -= _HALF
-            elif self.low >= _QUARTER and self.high < _THREE_QUARTERS:
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-                self.value -= _QUARTER
-            else:
-                break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
-            self.value = (self.value << 1) | self.reader.read()
-        return a
+    The encoder's symbols are taken from `samples`; the decoder writes
+    its symbols over the placeholders in `samples`.
+    """
+    for j, syms in enumerate(samples):
+        if j:
+            model.new_sample()
+        for i, a in enumerate(syms):
+            a = syms[i] = coder.code(_cumulative_freqs(model.conditional_probs()), a)
+            model.append(a)
+    return samples
 
 
 def arithmetic_encode(x, model) -> tuple[bytes, int]:
@@ -330,15 +291,9 @@ def arithmetic_encode(x, model) -> tuple[bytes, int]:
     the same lengths.
     """
     _, samples = as_sample_arrays(x)
-    enc = _Encoder()
-    for j, arr in enumerate(samples):
-        if j:
-            model.new_sample()
-        for a in arr:
-            cum = _cumulative_freqs(model.conditional_probs())
-            enc.encode(cum, int(a))
-            model.append(int(a))
-    return enc.finish()
+    coder = _RangeCoder()
+    _code(coder, model, [arr.tolist() for arr in samples])
+    return coder.finish()
 
 
 def arithmetic_decode(payload: bytes, lengths, model, alphabet: Alphabet):
@@ -349,30 +304,21 @@ def arithmetic_decode(payload: bytes, lengths, model, alphabet: Alphabet):
     """
     if isinstance(lengths, int):
         lengths = [lengths]
-    dec = _Decoder(payload)
-    out = []
-    for j, t in enumerate(lengths):
-        if j:
-            model.new_sample()
-        syms = np.empty(int(t), dtype=np.int64)
-        for i in range(int(t)):
-            cum = _cumulative_freqs(model.conditional_probs())
-            a = dec.decode(cum)
-            syms[i] = a
-            model.append(a)
-        out.append(SymbolSeq(alphabet, syms))
-    if len(out) == 1:
-        return out[0]
-    return MultiSample(out)
+    samples = _code(_RangeCoder(payload), model,
+                    [np.empty(int(t), dtype=np.int64) for t in lengths])
+    out = [SymbolSeq(alphabet, syms) for syms in samples]
+    return out[0] if len(out) == 1 else MultiSample(out)
 
 
 # ---------------------------------------------------------------------------
 # Container format: magic, alphabet size (u16 BE), length (u64 BE),
-# model id byte, then the arithmetic payload zero-padded to a byte.
+# model id byte, then the arithmetic payload zero-padded to a byte.  The
+# model id alone picks the decoding model; `kt` is order 0, since the
+# header stores no order.
 
 MAGIC = b"UCT1"
 
-MODEL_IDS = {"uniform": 0, "laplace": 1, "kt": 2, "r": 3, "custom": 255}
+MODEL_IDS = {"uniform": 0, "kt": 2, "r": 3}
 _ID_MODELS = {v: k for k, v in MODEL_IDS.items()}
 
 
@@ -398,39 +344,40 @@ def uniform_iid_model(alphabet: Alphabet) -> _UniformModel:
 
 
 def model_for_id(name_or_id, alphabet: Alphabet,
-                 max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
-                 order: int = 0):
-    """Fresh sequential model for a container model identifier."""
+                 max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER):
+    """Fresh sequential model for a container model name or id."""
     name = _ID_MODELS.get(name_or_id, name_or_id)
     if name == "uniform":
         return uniform_iid_model(alphabet)
     if name == "kt":
-        return KtState(alphabet, order)
+        return KtState(alphabet, 0)
     if name == "r":
         return MixtureEstimator(alphabet, max_explicit_order)
     raise ValueError(f"no built-in coding model named {name!r}")
 
 
-def container_header(alphabet_size: int, length: int, model_name: str = "r") -> bytes:
-    return MAGIC + struct.pack(
-        ">HQB", alphabet_size, length, MODEL_IDS.get(model_name, 255)
-    )
-
-
-def compress_container(x: SymbolSeq, model, model_name: str = "r") -> tuple[bytes, int]:
-    """Encode a single sequence into the framed container format.
+def compress_container(x: SymbolSeq, model_name: str = "r",
+                       max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                       ) -> tuple[bytes, int]:
+    """Encode a single sequence into the framed container format with the
+    model `model_name` ("uniform", "kt" or "r") names.
 
     Returns (container bytes, payload bit count).
     """
     if isinstance(x, MultiSample):
         raise ValueError("the container format holds a single sequence")
+    if model_name not in MODEL_IDS:
+        raise ValueError(f"no container model named {model_name!r}")
+    model = model_for_id(model_name, x.alphabet, max_explicit_order)
     payload, nbits = arithmetic_encode(x, model)
-    return container_header(x.alphabet.size, len(x), model_name) + payload, nbits
+    header = struct.pack(">HQB", x.alphabet.size, len(x), MODEL_IDS[model_name])
+    return MAGIC + header + payload, nbits
 
 
-def decompress_container(data: bytes, model=None, alphabet: Alphabet | None = None,
+def decompress_container(data: bytes, alphabet: Alphabet | None = None,
                          max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER):
-    """Decode a container produced by compress_container.
+    """Decode a container produced by compress_container, with the model
+    its header names.
 
     Returns (SymbolSeq, header dict).  Header corruption raises ValueError
     naming the offending byte position; payload corruption is undetectable
@@ -443,18 +390,19 @@ def decompress_container(data: bytes, model=None, alphabet: Alphabet | None = No
     size, length, model_id = struct.unpack(">HQB", data[4:15])
     if size < 1:
         raise ValueError("bad alphabet size at byte 4")
+    if model_id not in _ID_MODELS:
+        raise ValueError(f"unknown model id {model_id} at byte 14")
     if alphabet is None:
         alphabet = Alphabet.of_size(size)
     elif alphabet.size != size:
         raise ValueError(
             f"container alphabet size {size} differs from supplied {alphabet.size}"
         )
-    if model is None:
-        model = model_for_id(model_id, alphabet, max_explicit_order)
+    model = model_for_id(model_id, alphabet, max_explicit_order)
     seq = arithmetic_decode(data[15:], int(length), model, alphabet)
     header = {
         "alphabet_size": int(size),
         "length": int(length),
-        "model": _ID_MODELS.get(model_id, "custom"),
+        "model": _ID_MODELS[model_id],
     }
     return seq, header

@@ -339,15 +339,14 @@ class PairAlphabet:
 
 
 def side_info_cond_log2probs(pair_alphabet: PairAlphabet, history, y_next: int,
-                             estimator=None) -> np.ndarray:
+                             max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                             ) -> np.ndarray:
     """log2 conditionals of the next x symbol given paired history and y.
 
-    `history` is an iterable of (x, y) index pairs; `estimator` is any
-    sequential estimator over the product alphabet (fresh mixture by
-    default).  The returned vector is normalized over x.
+    `history` is an iterable of (x, y) index pairs, fed to a fresh mixture
+    over the product alphabet.  The returned vector is normalized over x.
     """
-    if estimator is None:
-        estimator = MixtureEstimator(pair_alphabet.product)
+    estimator = MixtureEstimator(pair_alphabet.product, max_explicit_order)
     for ix, iy in history:
         estimator.append(pair_alphabet.pair_index(ix, iy))
     cond = estimator.conditional_probs()

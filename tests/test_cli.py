@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from uctseries.cli import main
-from uctseries.coding import compress_container, model_for_id
+from uctseries.coding import compress_container
 from uctseries.seqmodel import Alphabet, SymbolSeq
 
 DATA = Path(__file__).parent / "data"
@@ -112,14 +112,27 @@ class TestCompressRoundTrip:
         text = "0001101110010111000011"
         x = SymbolSeq.from_labels(Alphabet.of_size(2), list(text))
         blob = tmp_path / f"{name}.uct"
-        blob.write_bytes(compress_container(x, model_for_id(name, x.alphabet),
-                                            model_name=name)[0])
+        blob.write_bytes(compress_container(x, model_name=name)[0])
         out = tmp_path / f"{name}.txt"
         code, rep, _ = run(capsys, "decompress", "--in", blob, "--out", out,
                            "--alphabet", "2")
         assert code == 0
         assert rep["model"] == name
         assert out.read_text() == text + "\n"
+
+    @pytest.mark.parametrize("model_id", [1, 255])
+    def test_unknown_header_model_id_is_data_error(self, capsys, tmp_path, model_id):
+        x = SymbolSeq.from_labels(Alphabet.of_size(2), list("0110"))
+        blob = bytearray(compress_container(x)[0])
+        blob[14] = model_id
+        path = tmp_path / "bad.uct"
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "bad.txt"
+        code, rep, err = run(capsys, "decompress", "--in", path, "--out", out)
+        assert code == 3 and rep is None
+        error = json.loads(err)
+        assert error["error"] == "data" and "byte 14" in error["detail"]
+        assert not out.exists()
 
     def test_multisample_input_rejected(self, capsys, tmp_path):
         code, _, err = run(

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctseries.coding import (
     CodelengthProvider,
@@ -20,7 +22,11 @@ from uctseries.coding import (
     measure_provider,
     uniform_iid_model,
 )
-from uctseries.estimators import KtState, MixtureEstimator, r_log2prob
+from uctseries.estimators import (
+    DEFAULT_MAX_EXPLICIT_ORDER,
+    MixtureEstimator,
+    r_log2prob,
+)
 from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
 
 BINARY = Alphabet.of_size(2)
@@ -194,34 +200,83 @@ class TestArithmeticCodec:
         assert nbits / len(x) == pytest.approx(h, abs=0.05)
 
 
+@st.composite
+def _coding_cases(draw):
+    """(alphabet, samples, fresh-model factory) for the coding property test."""
+    size = draw(st.integers(1, 8))
+    alphabet = Alphabet.of_size(size)
+    lengths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    samples = [draw(st.lists(st.integers(0, size - 1), min_size=t, max_size=t))
+               for t in lengths]
+    if draw(st.booleans()):
+        probs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(
+            np.full(size, 0.4))
+        return alphabet, samples, lambda: _IidModel(probs)
+    order = draw(st.sampled_from([0, 1, 3, DEFAULT_MAX_EXPLICIT_ORDER]))
+    return alphabet, samples, lambda: MixtureEstimator(alphabet, order)
+
+
+class TestCodingLoopProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_coding_cases())
+    def test_round_trip_and_length_bound(self, case):
+        alphabet, samples, fresh = case
+        seqs = [SymbolSeq(alphabet, s) for s in samples]
+        x = seqs[0] if len(seqs) == 1 else MultiSample(seqs)
+        before = [s.symbols.copy() for s in seqs]
+        model = fresh()
+        payload, nbits = arithmetic_encode(x, model)
+        assert all((s.symbols == b).all() for s, b in zip(seqs, before))
+        out = arithmetic_decode(payload, [len(s) for s in samples], fresh(), alphabet)
+        outs = out.samples if isinstance(out, MultiSample) else [out]
+        assert [o.symbols.tolist() for o in outs] == samples
+        if isinstance(model, _IidModel):
+            ideal = -sum(model.log2prob(s) for s in seqs)
+        else:
+            ideal = -model.log2prob
+        assert nbits <= math.ceil(ideal) + 2
+
+
 class TestContainer:
     def test_round_trip(self):
         x = seq("0100100101101")
-        blob, _ = compress_container(x, MixtureEstimator(BINARY))
+        blob, _ = compress_container(x)
         out, header = decompress_container(blob)
         assert (out.symbols == x.symbols).all()
         assert header == {"alphabet_size": 2, "length": 13, "model": "r"}
+
+    @pytest.mark.parametrize("name", ["uniform", "kt", "r"])
+    def test_header_alone_picks_the_model(self, name):
+        x = SymbolSeq(Alphabet.of_size(3), [int(c) for c in "0011220110220011"])
+        blob, _ = compress_container(x, model_name=name)
+        out, header = decompress_container(blob)
+        assert (out.symbols == x.symbols).all()
+        assert header == {"alphabet_size": 3, "length": 16, "model": name}
+
+    @pytest.mark.parametrize("model_id", [1, 255])
+    def test_unknown_model_id(self, model_id):
+        blob = bytearray(compress_container(seq("0110"))[0])
+        blob[14] = model_id
+        with pytest.raises(ValueError, match="byte 14"):
+            decompress_container(bytes(blob))
+
+    def test_unknown_model_name(self):
+        with pytest.raises(ValueError, match="laplace"):
+            compress_container(seq("01"), model_name="laplace")
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="byte 0"):
             decompress_container(b"XXXX" + bytes(11))
 
     def test_truncated_header(self):
-        blob, _ = compress_container(seq("01"), MixtureEstimator(BINARY))
+        blob, _ = compress_container(seq("01"))
         with pytest.raises(ValueError, match="truncated"):
             decompress_container(blob[:9])
 
     def test_alphabet_size_mismatch(self):
-        blob, _ = compress_container(seq("01"), MixtureEstimator(BINARY))
+        blob, _ = compress_container(seq("01"))
         with pytest.raises(ValueError, match="differs"):
             decompress_container(blob, alphabet=Alphabet.of_size(3))
-
-    def test_kt_model_round_trip(self):
-        x = seq("0011001100110011")
-        blob, _ = compress_container(x, KtState(BINARY, 1), model_name="kt")
-        out, header = decompress_container(blob, model=KtState(BINARY, 1))
-        assert (out.symbols == x.symbols).all()
-        assert header["model"] == "kt"
 
 
 ZLIB_CMD = (
