@@ -46,7 +46,6 @@ from .coding import (
 )
 from .testing import (
     EmpiricalEntropy,
-    EntropyRate,
     TestReport,
     empirical_entropy,
     identity_test,

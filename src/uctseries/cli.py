@@ -8,8 +8,7 @@ machine-readable {"error", "detail"} object on standard error.
 Symbol files are UTF-8 text, blank-line separated samples.  When every
 alphabet label is a single character (the default numeric labels up to
 size 10), each line is a contiguous string of symbols; otherwise one
-token per line.  Real-valued files hold one value per line, or two
-comma-separated columns (x,y) for side-information experiments.
+token per line.  Real-valued files hold one value per line.
 """
 
 from __future__ import annotations
@@ -98,23 +97,19 @@ def _parse_word(text: str, alphabet: Alphabet) -> list[int]:
     return [alphabet.index(tok) for tok in tokens]
 
 
-def _read_reals(path: str):
-    xs, ys = [], []
+def _read_reals(path: str) -> np.ndarray:
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            if len(parts) not in (1, 2):
-                raise ValueError(f"{path}:{lineno}: expected one or two columns")
-            xs.append(float(parts[0]))
-            if len(parts) == 2:
-                ys.append(float(parts[1]))
-    if ys and len(ys) != len(xs):
-        raise ValueError(f"{path}: ragged two-column data")
-    x = np.asarray(xs)
-    return (x, np.asarray(ys)) if ys else (x, None)
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected one real value, got {line!r}") from None
+    return np.asarray(values)
 
 
 def _parse_domain(spec: str) -> tuple[float, float]:
@@ -295,9 +290,7 @@ def cmd_density(args) -> int:
     if not args.domain:
         raise _UsageError("density requires --domain a:b")
     lo, hi = _parse_domain(args.domain)
-    values, extra = _read_reals(args.input)
-    if extra is not None:
-        raise ValueError("density expects single-column input")
+    values = _read_reals(args.input)
     lp = realvalued.density_log2(
         values, lo, hi, max_depth=args.depth,
         renormalize=args.renormalize_depth_weights,
@@ -507,7 +500,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(json.dumps({"error": "usage", "detail": str(exc)}) + "\n")
         return EXIT_USAGE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": "data", "detail": str(exc)}) + "\n")
         return EXIT_DATA
 

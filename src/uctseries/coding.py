@@ -1,10 +1,10 @@
 """The code/measure bridge: codelength providers and an arithmetic coder.
 
-A codelength provider turns sequences into bit counts for the hypothesis
-tests.  Three kinds exist: ideal measure codelengths (-log2 mu, real
-valued by default, optionally rounded up to whole bits), an adaptive
-arithmetic coder driven by any sequential conditional-probability model,
-and external general-purpose compressors invoked as subprocesses.
+A codelength provider is a named function from sequences to bit counts
+for the hypothesis tests: the ideal codelength -log2 mu of a measure
+(real valued), the emitted bits of the adaptive arithmetic coder driven
+by the mixture (whole bits), or the output of an external
+general-purpose compressor invoked as a subprocess.
 """
 
 from __future__ import annotations
@@ -53,22 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CodelengthProvider:
-    """A function from sequences to codelengths in bits.
+    """A function from sequences to codelengths in bits, and the name
+    echoed in reports."""
 
-    `kind` is one of "ideal-measure", "arithmetic-coder" or
-    "external-compressor"; `name` is the short label echoed in reports.
-    With integer_lengths the (possibly real-valued) length is rounded up
-    to whole bits for strict code semantics.
-    """
-
-    kind: str
     name: str
     _fn: Callable = field(repr=False)
-    integer_lengths: bool = False
 
     def codelength(self, x) -> float:
-        bits = self._fn(x)
-        return float(math.ceil(bits)) if self.integer_lengths else float(bits)
+        return float(self._fn(x))
 
 
 def ideal_codelength(x, measure_log2prob) -> float:
@@ -79,46 +71,30 @@ def ideal_codelength(x, measure_log2prob) -> float:
     return -float(lp)
 
 
-def measure_provider(measure_log2prob, name: str,
-                     integer_lengths: bool = False) -> CodelengthProvider:
-    return CodelengthProvider(
-        kind="ideal-measure",
-        name=name,
-        _fn=lambda x: ideal_codelength(x, measure_log2prob),
-        integer_lengths=integer_lengths,
-    )
+def measure_provider(measure_log2prob, name: str) -> CodelengthProvider:
+    return CodelengthProvider(name, lambda x: ideal_codelength(x, measure_log2prob))
 
 
 def ideal_r_provider(max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
-                     integer_lengths: bool = False) -> CodelengthProvider:
+                     ) -> CodelengthProvider:
     """Ideal codelength of the order-weighted mixture (the default provider)."""
-    return measure_provider(
-        lambda x: r_log2prob(x, max_explicit_order),
-        name="ideal-r",
-        integer_lengths=integer_lengths,
-    )
+    return measure_provider(lambda x: r_log2prob(x, max_explicit_order), "ideal-r")
 
 
 def arithmetic_provider(max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
                         ) -> CodelengthProvider:
     """Actual emitted-bit count of the arithmetic coder driven by a fresh
-    mixture estimator per call (integer bits)."""
+    mixture estimator per call (whole bits)."""
 
     def fn(x):
         alphabet, _ = as_sample_arrays(x)
-        _, nbits = arithmetic_encode(x, MixtureEstimator(alphabet, max_explicit_order))
-        return float(nbits)
+        return arithmetic_encode(x, MixtureEstimator(alphabet, max_explicit_order))[1]
 
-    return CodelengthProvider(kind="arithmetic-coder", name="arithmetic", _fn=fn)
+    return CodelengthProvider("arithmetic", fn)
 
 
 def external_provider(command: str) -> CodelengthProvider:
-    compressor = ExternalCompressor(command)
-    return CodelengthProvider(
-        kind="external-compressor",
-        name=f"external:{command}",
-        _fn=compressor.codelength,
-    )
+    return CodelengthProvider(f"external:{command}", ExternalCompressor(command).codelength)
 
 
 # ---------------------------------------------------------------------------

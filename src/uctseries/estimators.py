@@ -162,7 +162,6 @@ class MixtureEstimator:
         self._counts = np.zeros((64, alphabet.size))  # doubled when full
         self._hist: list[int] = []  # last max_explicit_order symbols of the sample
         self.log2prob: LogProb = 0.0
-        self.total_length = 0
         self._max_sample_length = 0
         self._pos = 0
 
@@ -198,9 +197,6 @@ class MixtureEstimator:
         terms = self._terms(self._path(), slice(None))
         return np.add.accumulate(terms, axis=0)[-1]
 
-    def conditional_log2probs(self) -> np.ndarray:
-        return np.log2(self.conditional_probs())
-
     def conditional_log2prob(self, a: int) -> LogProb:
         return float(np.log2(self.conditional_probs()[int(a)]))
 
@@ -220,7 +216,6 @@ class MixtureEstimator:
         self._hist.append(a)
         if len(self._hist) > self.max_explicit_order:
             del self._hist[0]
-        self.total_length += 1
         self._pos += 1
         self._max_sample_length = max(self._max_sample_length, self._pos)
 
@@ -333,9 +328,6 @@ class PairAlphabet:
         if not (0 <= ix < self.x_alphabet.size and 0 <= iy < self.y_alphabet.size):
             raise AlphabetMismatchError("pair component out of range")
         return ix * self.y_alphabet.size + iy
-
-    def unpair(self, k: int) -> tuple[int, int]:
-        return divmod(int(k), self.y_alphabet.size)
 
 
 def side_info_cond_log2probs(pair_alphabet: PairAlphabet, history, y_next: int,

@@ -66,8 +66,8 @@ class Partition:
     def __post_init__(self):
         if not self.upper > self.lower:
             raise ValueError("domain upper bound must exceed lower bound")
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+        if not 0 <= self.depth <= 62:
+            raise ValueError("depth must lie in 0..62 (cell indices are int64)")
 
     @property
     def cells(self) -> int:
@@ -101,12 +101,8 @@ class Partition:
         return Alphabet.of_size(self.cells)
 
 
-def quantize(values, partition, domain=None) -> SymbolSeq:
-    """Map reals to cell-index symbols; `partition` may be a depth int."""
-    if not isinstance(partition, Partition):
-        if domain is None:
-            raise ValueError("quantize needs a Partition or a depth plus domain")
-        partition = Partition(domain[0], domain[1], int(partition))
+def quantize(values, partition: Partition) -> SymbolSeq:
+    """Map reals to the cell-index symbols of `partition`."""
     return SymbolSeq(partition.alphabet(), partition.cell_index(values))
 
 
@@ -243,7 +239,7 @@ class DensityEstimator:
         """
         terms = self.depth_log2_terms()
         weights = terms - log2_sum(terms)
-        conds = [np.zeros(1)] + [est.conditional_log2probs() for est in self._estimators]
+        conds = [np.zeros(1)] + [np.log2(est.conditional_probs()) for est in self._estimators]
         cells = self.partition.cells
         out = np.full(cells, -math.inf)
         for s, log2_volume in enumerate(_log2_cell_volumes(self.partition)):

@@ -21,12 +21,11 @@ from .estimators import (
     MarkovSource,
     order_weight,
 )
-from .realvalued import Partition, PiecewiseConstantDensity, quantize
-from .seqmodel import as_sample_arrays, window_counts
+from .realvalued import Partition, PiecewiseConstantDensity
+from .seqmodel import Alphabet, SymbolSeq, as_sample_arrays, window_counts
 
 __all__ = [
     "EmpiricalEntropy",
-    "EntropyRate",
     "TestReport",
     "empirical_entropy",
     "identity_test",
@@ -65,19 +64,6 @@ def empirical_entropy(x, k: int) -> EmpiricalEntropy:
         acc -= float((row * (np.log2(row) - math.log2(total))).sum())
     value = acc / windows
     return EmpiricalEntropy(order=k, value=value, window_count=windows)
-
-
-@dataclass(frozen=True)
-class EntropyRate:
-    """Conditional entropies h_0 >= h_1 >= ... and their limit for a source."""
-
-    orders: tuple[float, ...]
-    limit: float
-
-    @classmethod
-    def of_source(cls, source: MarkovSource, max_order: int = 8) -> "EntropyRate":
-        hs = tuple(source.conditional_entropy(k) for k in range(max_order + 1))
-        return cls(orders=hs, limit=source.entropy_rate())
 
 
 @dataclass
@@ -128,61 +114,49 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie strictly between 0 and 1")
 
 
-def _verdict(statistic: float, threshold: float) -> str:
-    return "reject" if statistic > threshold else "accept"
+def _compression_test(test: str, x, reference_bits: float, alpha: float,
+                      provider: CodelengthProvider | None, order: int) -> TestReport:
+    """The rule every test shares: reject iff the provider's codelength
+    undercuts `reference_bits` by more than log2(1/alpha) bits.  An
+    infinite reference (probability zero) rejects without coding."""
+    if provider is None:
+        provider = ideal_r_provider()
+    if reference_bits == math.inf:
+        statistic = math.inf
+    else:
+        statistic = reference_bits - provider.codelength(x)
+    threshold = -math.log2(alpha)
+    _, samples = as_sample_arrays(x)
+    return TestReport(
+        test=test,
+        alpha=alpha,
+        statistic_bits=statistic,
+        threshold_bits=threshold,
+        verdict="reject" if statistic > threshold else "accept",
+        provider=provider.name,
+        order=order,
+        lengths=[int(arr.size) for arr in samples],
+    )
 
 
 def identity_test(x, null: MarkovSource, alpha: float,
                   provider: CodelengthProvider | None = None) -> TestReport:
-    """Goodness-of-fit test of a fully specified null source.
-
-    Rejects when the provider's codelength undercuts -log2 null(x) by
-    more than log2(1/alpha) bits.  A null that assigns the data
-    probability zero is rejected outright.
-    """
+    """Goodness-of-fit test of a fully specified null source, whose
+    reference is -log2 null(x).  A null that assigns the data probability
+    zero is rejected outright."""
     _check_alpha(alpha)
-    if provider is None:
-        provider = ideal_r_provider()
-    _, samples = as_sample_arrays(x)
-    null_bits = -null.log2prob(x)
-    statistic = math.inf if null_bits == math.inf else null_bits - provider.codelength(x)
-    threshold = -math.log2(alpha)
-    return TestReport(
-        test="identity",
-        alpha=alpha,
-        statistic_bits=statistic,
-        threshold_bits=threshold,
-        verdict=_verdict(statistic, threshold),
-        provider=provider.name,
-        order=null.order,
-        lengths=[int(arr.size) for arr in samples],
-    )
+    return _compression_test("identity", x, -null.log2prob(x), alpha, provider,
+                             null.order)
 
 
 def serial_independence_test(x, m: int, alpha: float,
                              provider: CodelengthProvider | None = None) -> TestReport:
-    """Test of the hypothesis that the source is Markov of order <= m.
-
-    Rejects when the provider's codelength undercuts the empirical
-    entropy total (t - r*m) * h*_m by more than log2(1/alpha) bits.
-    """
+    """Test of the hypothesis that the source is Markov of order <= m,
+    whose reference is the empirical entropy total (t - r*m) * h*_m."""
     _check_alpha(alpha)
-    if provider is None:
-        provider = ideal_r_provider()
-    _, samples = as_sample_arrays(x)
     ent = empirical_entropy(x, m)
-    statistic = ent.window_count * ent.value - provider.codelength(x)
-    threshold = math.log2(1.0 / alpha)
-    return TestReport(
-        test="serial-independence",
-        alpha=alpha,
-        statistic_bits=statistic,
-        threshold_bits=threshold,
-        verdict=_verdict(statistic, threshold),
-        provider=provider.name,
-        order=m,
-        lengths=[int(arr.size) for arr in samples],
-    )
+    return _compression_test("serial-independence", x, ent.window_count * ent.value,
+                             alpha, provider, m)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +186,17 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
                         max_depth: int = 8,
                         domain: tuple[float, float] = (0.0, 1.0),
                         null_density=None,
-                        scheme=None,
                         max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
                         ) -> TestReport:
     """Run a finite-alphabet test on successively finer quantizations.
 
     The i-th sub-test runs at level alpha * w_i (the mixture weights, so
-    the levels sum to at most alpha) on data quantized by the i-th
-    partition; dyadic partitions of the domain by default.  Rejects iff
-    any sub-test rejects.  Checking stops at the first partition whose
-    maximum achievable statistic t*log2(cells) cannot exceed its
-    threshold, or after max_depth partitions.
+    the levels sum to at most alpha) on the data quantized by the dyadic
+    partition of the domain into 2^i cells.  Rejects iff any sub-test
+    rejects.  Checking stops at the first depth whose maximum achievable
+    statistic t*log2(cells) cannot exceed its threshold, or after
+    max_depth partitions.  Values are quantized once, at max_depth; the
+    depth-i cell of a value is its finest cell shifted right.
 
     kind "si" tests serial independence of i.i.d. data (order 0 only:
     quantizing can inflate the memory of a Markov chain, so higher orders
@@ -237,44 +211,37 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
     data = np.asarray(data, dtype=float).reshape(-1)
     t = data.size
     provider = ideal_r_provider(max_explicit_order)
-    if scheme is None:
-        scheme = [Partition(domain[0], domain[1], depth) for depth in
-                  range(1, max_depth + 1)]
-    else:
-        scheme = list(scheme)[:max_depth]
-    if scheme:
-        # validate the domain up front, even if every sub-test is skipped
-        Partition(scheme[0].lower, scheme[0].upper, 0).cell_index(data)
+    lo, hi = domain
+    finest = Partition(lo, hi, max_depth).cell_index(data)
 
     subs: list[TestReport] = []
     i_stop = None
-    for i, partition in enumerate(scheme, start=1):
+    for i in range(1, max_depth + 1):
         level = alpha * order_weight(i)
-        max_statistic = t * math.log2(partition.cells)
-        if max_statistic <= -math.log2(level):
+        if t * i <= -math.log2(level):  # t * log2(cells)
             i_stop = i
             break
-        quantized = quantize(data, partition)
+        cells = SymbolSeq(Alphabet.of_size(1 << i), finest >> (max_depth - i))
         if kind == "si":
-            sub = serial_independence_test(quantized, 0, level, provider)
+            sub = serial_independence_test(cells, 0, level, provider)
         else:
-            null = MarkovSource.iid(quantized.alphabet, _cell_probs(null_density, partition))
-            sub = identity_test(quantized, null, level, provider)
-        sub.details["partition_depth"] = partition.depth
+            probs = _cell_probs(null_density, Partition(lo, hi, i))
+            sub = identity_test(cells, MarkovSource.iid(cells.alphabet, probs), level,
+                                provider)
+        sub.details["partition_depth"] = i
         subs.append(sub)
 
     margins = [s.statistic_bits - s.threshold_bits for s in subs]
     statistic = max(margins) if margins else 0.0
-    report = TestReport(
+    return TestReport(
         test=f"partition-{kind}",
         alpha=alpha,
         statistic_bits=statistic,
         threshold_bits=0.0,
-        verdict=_verdict(statistic, 0.0),
+        verdict="reject" if statistic > 0.0 else "accept",
         provider=provider.name if subs else "none",
         order=0,
         lengths=[t],
         sub_reports=subs,
         details={"i_stop": i_stop, "partitions_checked": len(subs)},
     )
-    return report

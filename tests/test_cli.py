@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,16 @@ class TestCompressRoundTrip:
         assert error["error"] == "data" and "byte 14" in error["detail"]
         assert not out.exists()
 
+    def test_huge_claimed_length_is_data_error(self, capsys, tmp_path):
+        # the header claims 2^40 symbols for an 8-byte payload
+        path = tmp_path / "huge.uct"
+        path.write_bytes(b"UCT1" + struct.pack(">HQB", 2, 1 << 40, 3) + bytes(8))
+        out = tmp_path / "huge.txt"
+        code, rep, err = run(capsys, "decompress", "--in", path, "--out", out)
+        assert code == 3 and rep is None
+        assert json.loads(err)["error"] == "data"
+        assert not out.exists()
+
     def test_multisample_input_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "compress", "--in", DATA / "two_samples.txt",
@@ -246,6 +257,14 @@ class TestDensityCommand:
             "--domain", "0:0.5",
         )
         assert code == 3
+
+    def test_two_column_file_is_data_error(self, capsys, tmp_path):
+        f = tmp_path / "pairs.csv"
+        f.write_text("0.25\n0.5,0.75\n")
+        code, rep, err = run(capsys, "density", "--in", f, "--domain", "0:1")
+        assert code == 3 and rep is None
+        error = json.loads(err)
+        assert error["error"] == "data" and f"{f}:2:" in error["detail"]
 
 
 class TestMonteCarloCommand:

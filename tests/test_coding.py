@@ -18,7 +18,6 @@ from uctseries.coding import (
     decompress_container,
     external_codelength,
     ideal_codelength,
-    ideal_r_provider,
     measure_provider,
     uniform_iid_model,
 )
@@ -70,11 +69,6 @@ class TestIdealCodelength:
         model = _IidModel([1.0, 0.0])
         with pytest.raises(ValueError):
             ideal_codelength(seq("01"), model.log2prob)
-
-    def test_integer_length_mode_ceils(self):
-        p = ideal_r_provider(integer_lengths=True)
-        bits = p.codelength(seq("00"))
-        assert bits == float(math.ceil(-r_log2prob(seq("00"))))
 
 
 class TestArithmeticCodec:
@@ -155,7 +149,7 @@ class TestArithmeticCodec:
 
     def test_arithmetic_provider_kind(self):
         p = arithmetic_provider()
-        assert p.kind == "arithmetic-coder"
+        assert p.name == "arithmetic"
         bits = p.codelength(seq("0101010101"))
         assert bits == float(int(bits))
         assert bits <= math.ceil(-r_log2prob(seq("0101010101"))) + 2

@@ -40,6 +40,14 @@ CASES = {
         ["test-independence", "--order", "1", "--in", "alternating.txt"], 0),
     "independence_two_samples": (
         ["test-independence", "--order", "1", "--in", "two_samples.txt"], 0),
+    "identity_mixed": (
+        ["test-identity", "--in", "mixed.txt", "--null", "uniform_null.txt"], 0),
+    "identity_mixed_alpha03": (
+        ["test-identity", "--in", "mixed.txt", "--null", "uniform_null.txt",
+         "--alpha", "0.3"], 1),
+    "montecarlo_partition_si": (
+        ["montecarlo", "--test", "partition-si", "--trials", "20", "--length", "400",
+         "--depth", "6", "--seed", "3"], 0),
     "density_uniform": (
         ["density", "--in", "uniform_reals.csv", "--domain", "0:1", "--depth", "4"], 0),
     "predict_mixed": (["predict", "--in", "mixed.txt"], 0),

@@ -44,6 +44,12 @@ class TestPartition:
         with pytest.raises(DomainError, match="index 1"):
             p.cell_index([0.5, 1.0])
 
+    def test_depth_must_fit_int64_cells(self):
+        assert Partition(0.0, 1.0, 62).cell_index([0.5]).tolist() == [1 << 61]
+        for depth in (-1, 63):
+            with pytest.raises(ValueError, match="depth"):
+                Partition(0.0, 1.0, depth)
+
     def test_below_lower_rejected(self):
         with pytest.raises(DomainError):
             Partition(0.0, 1.0, 2).cell_index([-0.01])
@@ -87,12 +93,12 @@ class TestPartition:
 
 class TestQuantize:
     def test_returns_symbolseq_over_cell_alphabet(self):
-        q = quantize([0.1, 0.6], 1, domain=(0.0, 1.0))
+        q = quantize([0.1, 0.6], Partition(0.0, 1.0, 1))
         assert q.alphabet.size == 2
         assert q.symbols.tolist() == [0, 1]
 
     def test_depth_zero_all_zero(self):
-        q = quantize([0.2, 0.9], 0, domain=(0.0, 1.0))
+        q = quantize([0.2, 0.9], Partition(0.0, 1.0, 0))
         assert q.symbols.tolist() == [0, 0]
 
 

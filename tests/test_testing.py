@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from uctseries.coding import ideal_r_provider, measure_provider
-from uctseries.estimators import MarkovSource, kt_log2prob, r_log2prob
-from uctseries.realvalued import Partition, PiecewiseConstantDensity
+from uctseries.estimators import MarkovSource, kt_log2prob, order_weight, r_log2prob
+from uctseries.realvalued import Partition, PiecewiseConstantDensity, quantize
 from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
 from uctseries.testing import TestReport as Report
 from uctseries.testing import (
-    EntropyRate,
     empirical_entropy,
     identity_test,
     partition_meta_test,
@@ -104,10 +103,10 @@ class TestEmpiricalEntropy:
 class TestEntropyRate:
     def test_monotone_orders(self):
         src = MarkovSource(BINARY, 1, [[0.7, 0.3], [0.4, 0.6]])
-        er = EntropyRate.of_source(src, max_order=5)
-        for a, b in zip(er.orders, er.orders[1:]):
+        hs = [src.conditional_entropy(k) for k in range(6)]
+        for a, b in zip(hs, hs[1:]):
             assert b <= a + 1e-12
-        assert er.limit == pytest.approx(er.orders[-1], abs=1e-9)
+        assert src.entropy_rate() == pytest.approx(hs[-1], abs=1e-9)
 
 
 class TestIdentityTest:
@@ -254,17 +253,45 @@ class TestPartitionMetaTest:
 
     def test_single_cell_partition_accepts(self):
         rng = np.random.default_rng(9)
-        scheme = [Partition(0.0, 1.0, 0)]
-        rep = partition_meta_test(
-            rng.random(50), 0.05, kind="si", max_depth=1, scheme=scheme
-        )
+        rep = partition_meta_test(rng.random(50), 0.05, kind="si", max_depth=0)
         assert rep.verdict == "accept"
-        assert rep.details["i_stop"] == 1
+        assert rep.details["i_stop"] is None
         assert rep.details["partitions_checked"] == 0
 
-    def test_levels_sum_within_alpha(self):
-        from uctseries.estimators import order_weight
+    @pytest.mark.parametrize("kind", ["si", "id"])
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0)])
+    def test_sub_reports_are_the_finite_tests_on_each_partition(self, kind, lo, hi):
+        # oracle: quantize afresh at every depth and run the finite test at
+        # level alpha * w_i; cell edges and their neighbours are where the
+        # shifted finest cell could leave the depth-i cell
+        max_depth, alpha = 5, 0.05
+        edges = Partition(lo, hi, max_depth).edges()
+        data = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.random.default_rng(29).uniform(lo, hi, size=300) ** 3,
+        ])
+        data = data[(data >= lo) & (data < hi)]
+        w = hi - lo
+        null = PiecewiseConstantDensity((lo, lo + 0.3 * w, hi), (0.5 / (0.3 * w), 0.5 / (0.7 * w)))
+        rep = partition_meta_test(data, alpha, kind=kind, max_depth=max_depth,
+                                  domain=(lo, hi), null_density=null)
+        assert rep.details["partitions_checked"] == max_depth
+        for i, sub in enumerate(rep.sub_reports, start=1):
+            partition = Partition(lo, hi, i)
+            cells = quantize(data, partition)
+            level = alpha * order_weight(i)
+            if kind == "si":
+                expected = serial_independence_test(cells, 0, level)
+            else:
+                probs = np.array([null.integral(*partition.cell_bounds(c))
+                                  for c in range(partition.cells)])
+                probs /= probs.sum()
+                expected = identity_test(cells, MarkovSource.iid(cells.alphabet, probs),
+                                         level)
+            expected.details["partition_depth"] = i
+            assert sub == expected
 
+    def test_levels_sum_within_alpha(self):
         alpha = 0.05
         total = sum(alpha * order_weight(i) for i in range(1, 200))
         assert total <= alpha + 1e-12
