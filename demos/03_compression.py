@@ -13,12 +13,12 @@ import numpy as np
 
 from uctseries import (
     Alphabet,
+    ExternalCompressor,
     MarkovSource,
     MixtureEstimator,
     SymbolSeq,
     arithmetic_decode,
     arithmetic_encode,
-    external_codelength,
     r_log2prob,
 )
 
@@ -67,7 +67,7 @@ random_bits = SymbolSeq(binary, rng.integers(0, 2, size=10_000))
 cmd = "gzip -c" if shutil.which("gzip") else None
 if cmd:
     for name, data in (("constant", constant), ("random", random_bits)):
-        bits = external_codelength(data, cmd)
+        bits = ExternalCompressor(cmd).codelength(data)
         print(f"  gzip on {name:8s} input: {bits:8.0f} bits "
               f"({bits / len(data):.3f} bits/symbol)")
 else:

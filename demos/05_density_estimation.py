@@ -34,11 +34,11 @@ print()
 print("=== Conditional density after a positive value ===")
 data = sign_process_generate(alpha, 20_000, seed=11)
 hist = data if data[-1] >= 0 else data[:-1]
-est = DensityEstimator(-1.0, 1.0, max_depth=4).consume(hist)
-p_neg = est.conditional().integral(-1.0, 0.0)
+cond = DensityEstimator(-1.0, 1.0, max_depth=4).consume(hist).conditional()
+p_neg = cond.integral(-1.0, 0.0)
 print(f"  learned P(next < 0 | last value >= 0) = {p_neg:.4f}  (true 0.9)")
 for point in (-0.5, 0.5):
-    d = 2 ** est.conditional_log2_density(point)
+    d = cond(point)
     print(f"  estimated density at {point:+.1f}: {d:.4f}  "
           f"(true {hi if point < 0 else lo:.1f})")
 

@@ -38,9 +38,7 @@ from .coding import (
     arithmetic_provider,
     compress_container,
     decompress_container,
-    external_codelength,
     external_provider,
-    ideal_codelength,
     ideal_r_provider,
     measure_provider,
 )

@@ -1,10 +1,12 @@
 """The code/measure bridge: codelength providers and an arithmetic coder.
 
 A codelength provider is a named function from sequences to bit counts
-for the hypothesis tests: the ideal codelength -log2 mu of a measure
-(real valued), the emitted bits of the adaptive arithmetic coder driven
-by the mixture (whole bits), or the output of an external
-general-purpose compressor invoked as a subprocess.
+for the hypothesis tests: `measure_provider` wraps a measure as its ideal
+codelength -log2 mu (real valued; `ideal_r_provider` is the mixture's),
+`arithmetic_provider` counts the bits the adaptive arithmetic coder
+emits (whole bits), and `external_provider` counts the output of a
+general-purpose compressor run as a subprocess.  The container header
+names one of three coding models: `UniformModel`, `KtState` or the mixture.
 """
 
 from __future__ import annotations
@@ -32,18 +34,15 @@ __all__ = [
     "CodelengthProvider",
     "ExternalCompressor",
     "MAGIC",
+    "UniformModel",
     "arithmetic_decode",
     "arithmetic_encode",
     "arithmetic_provider",
     "compress_container",
     "decompress_container",
-    "external_codelength",
     "external_provider",
-    "ideal_codelength",
     "ideal_r_provider",
     "measure_provider",
-    "model_for_id",
-    "uniform_iid_model",
 ]
 
 
@@ -63,16 +62,17 @@ class CodelengthProvider:
         return float(self._fn(x))
 
 
-def ideal_codelength(x, measure_log2prob) -> float:
-    """-log2 mu(x) for a strictly positive measure, in (real-valued) bits."""
-    lp = measure_log2prob(x)
-    if lp == -math.inf:
-        raise ValueError("measure assigns probability zero; not an admissible code")
-    return -float(lp)
-
-
 def measure_provider(measure_log2prob, name: str) -> CodelengthProvider:
-    return CodelengthProvider(name, lambda x: ideal_codelength(x, measure_log2prob))
+    """The ideal codelength -log2 mu(x) of a strictly positive measure, in
+    (real-valued) bits."""
+
+    def fn(x):
+        lp = measure_log2prob(x)
+        if lp == -math.inf:
+            raise ValueError("measure assigns probability zero; not an admissible code")
+        return -lp
+
+    return CodelengthProvider(name, fn)
 
 
 def ideal_r_provider(max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
@@ -140,10 +140,6 @@ class ExternalCompressor:
             raise ValueError("external compressors support alphabets up to 256 symbols")
         payload = x.symbols.astype(np.uint8).tobytes()
         return 8.0 * len(self.compress(payload))
-
-
-def external_codelength(x, command: str) -> float:
-    return ExternalCompressor(command).codelength(x)
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +282,7 @@ def arithmetic_decode(payload: bytes, lengths, model, alphabet: Alphabet):
     return out[0] if len(out) == 1 else MultiSample(out)
 
 
-# ---------------------------------------------------------------------------
-# Container format: magic, alphabet size (u16 BE), length (u64 BE),
-# model id byte, then the arithmetic payload zero-padded to a byte.  The
-# model id alone picks the decoding model; `kt` is order 0, since the
-# header stores no order.
-
-MAGIC = b"UCT1"
-
-MODEL_IDS = {"uniform": 0, "kt": 2, "r": 3}
-_ID_MODELS = {v: k for k, v in MODEL_IDS.items()}
-
-
-class _UniformModel:
+class UniformModel:
     """Memoryless uniform conditionals; the trivial coding model."""
 
     def __init__(self, alphabet: Alphabet):
@@ -315,21 +299,21 @@ class _UniformModel:
         pass
 
 
-def uniform_iid_model(alphabet: Alphabet) -> _UniformModel:
-    return _UniformModel(alphabet)
+# ---------------------------------------------------------------------------
+# Container format: magic, alphabet size (u16 BE), length (u64 BE),
+# model id byte, then the arithmetic payload zero-padded to a byte.  The
+# model id alone picks the decoding model; `kt` is order 0, since the
+# header stores no order.
 
+MAGIC = b"UCT1"
 
-def model_for_id(name_or_id, alphabet: Alphabet,
-                 max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER):
-    """Fresh sequential model for a container model name or id."""
-    name = _ID_MODELS.get(name_or_id, name_or_id)
-    if name == "uniform":
-        return uniform_iid_model(alphabet)
-    if name == "kt":
-        return KtState(alphabet, 0)
-    if name == "r":
-        return MixtureEstimator(alphabet, max_explicit_order)
-    raise ValueError(f"no built-in coding model named {name!r}")
+# model name -> (header id, fresh model for an alphabet and a max order)
+_MODELS = {
+    "uniform": (0, lambda alphabet, _: UniformModel(alphabet)),
+    "kt": (2, lambda alphabet, _: KtState(alphabet, 0)),
+    "r": (3, MixtureEstimator),
+}
+_ID_MODELS = {model_id: name for name, (model_id, _) in _MODELS.items()}
 
 
 def compress_container(x: SymbolSeq, model_name: str = "r",
@@ -342,11 +326,14 @@ def compress_container(x: SymbolSeq, model_name: str = "r",
     """
     if isinstance(x, MultiSample):
         raise ValueError("the container format holds a single sequence")
-    if model_name not in MODEL_IDS:
+    if model_name not in _MODELS:
         raise ValueError(f"no container model named {model_name!r}")
-    model = model_for_id(model_name, x.alphabet, max_explicit_order)
-    payload, nbits = arithmetic_encode(x, model)
-    header = struct.pack(">HQB", x.alphabet.size, len(x), MODEL_IDS[model_name])
+    if x.alphabet.size > 0xFFFF:  # the u16 size field
+        raise ValueError("the container format holds alphabets of at most 65535 "
+                         f"symbols, got {x.alphabet.size}")
+    model_id, new_model = _MODELS[model_name]
+    payload, nbits = arithmetic_encode(x, new_model(x.alphabet, max_explicit_order))
+    header = struct.pack(">HQB", x.alphabet.size, len(x), model_id)
     return MAGIC + header + payload, nbits
 
 
@@ -374,11 +361,12 @@ def decompress_container(data: bytes, alphabet: Alphabet | None = None,
         raise ValueError(
             f"container alphabet size {size} differs from supplied {alphabet.size}"
         )
-    model = model_for_id(model_id, alphabet, max_explicit_order)
+    name = _ID_MODELS[model_id]
+    model = _MODELS[name][1](alphabet, max_explicit_order)
     seq = arithmetic_decode(data[15:], int(length), model, alphabet)
     header = {
         "alphabet_size": int(size),
         "length": int(length),
-        "model": _ID_MODELS[model_id],
+        "model": name,
     }
     return seq, header

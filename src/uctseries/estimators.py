@@ -258,9 +258,6 @@ class KtState(MixtureEstimator):
         self._w = np.zeros(order + 2)
         self._w[-1] = 1.0
 
-    def conditional_probs(self) -> list[float]:
-        return super().conditional_probs().tolist()
-
 
 # ---------------------------------------------------------------------------
 # Mixture measure, batch evaluation

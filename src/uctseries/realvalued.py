@@ -64,6 +64,8 @@ class Partition:
     depth: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("domain bounds must be finite")
         if not self.upper > self.lower:
             raise ValueError("domain upper bound must exceed lower bound")
         if not 0 <= self.depth <= 62:
@@ -78,14 +80,13 @@ class Partition:
         return (self.upper - self.lower) / self.cells
 
     def cell_index(self, values) -> np.ndarray:
-        """Cell of each value; values equal to the upper bound are rejected."""
+        """Cell of each value; NaN and values equal to the upper bound are rejected."""
         arr = np.asarray(values, dtype=float).reshape(-1)
-        bad = np.nonzero((arr < self.lower) | (arr >= self.upper))[0]
+        bad = np.nonzero(~((arr >= self.lower) & (arr < self.upper)))[0]
         if bad.size:
             i = int(bad[0])
-            raise DomainError(
-                f"value {arr[i]!r} at index {i} outside [{self.lower}, {self.upper})"
-            )
+            raise DomainError(f"value {float(arr[i])!r} at index {i} "
+                              f"outside [{self.lower}, {self.upper})")
         scaled = (arr - self.lower) / (self.upper - self.lower)
         idx = np.floor(scaled * self.cells).astype(np.int64)
         return np.minimum(idx, self.cells - 1)
@@ -207,15 +208,17 @@ class DensityEstimator:
         self.t = 0
 
     def append(self, x: float) -> None:
-        finest = int(self.partition.cell_index([x])[0])
-        depth = self.partition.depth
-        for s, est in enumerate(self._estimators, start=1):
-            est.append(finest >> (depth - s))
-        self.t += 1
+        self.consume([x])
 
     def consume(self, values) -> "DensityEstimator":
-        for x in np.asarray(values, dtype=float).reshape(-1):
-            self.append(float(x))
+        """Take the values in order; a value outside the domain is rejected
+        before any state changes."""
+        finest = self.partition.cell_index(values)
+        depth = self.partition.depth
+        for s, est in enumerate(self._estimators, start=1):
+            for a in (finest >> (depth - s)).tolist():
+                est.append(a)
+        self.t += finest.size
         return self
 
     def depth_log2_terms(self) -> np.ndarray:
@@ -246,10 +249,6 @@ class DensityEstimator:
             out = np.logaddexp2(out, weights[s] + np.repeat(conds[s], cells >> s)
                                 - log2_volume)
         return out
-
-    def conditional_log2_density(self, x: float) -> float:
-        cell = int(self.partition.cell_index([x])[0])
-        return float(self.conditional_cell_log2densities()[cell])
 
     def conditional(self) -> PiecewiseConstantDensity:
         """Density of the next value given everything consumed so far."""
@@ -286,7 +285,8 @@ def conditional_density(x_next: float, history, lower: float, upper: float,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> float:
     """log2 conditional density of the next value given the history."""
     est = _history_estimator(history, lower, upper, max_depth)
-    return est.conditional_log2_density(float(x_next))
+    cell = int(est.partition.cell_index([x_next])[0])
+    return float(est.conditional_cell_log2densities()[cell])
 
 
 def event_probability(intervals, history, lower: float, upper: float,

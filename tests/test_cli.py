@@ -145,6 +145,17 @@ class TestCompressRoundTrip:
         assert json.loads(err)["error"] == "data"
         assert not out.exists()
 
+    def test_alphabet_beyond_u16_is_data_error(self, capsys, tmp_path):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("0\n69999\n5\n")
+        out = tmp_path / "x.uct"
+        code, rep, err = run(capsys, "compress", "--in", tokens, "--alphabet", "70000",
+                             "--out", out)
+        assert code == 3 and rep is None
+        error = json.loads(err)
+        assert error["error"] == "data" and "65535" in error["detail"]
+        assert not out.exists()
+
     def test_multisample_input_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "compress", "--in", DATA / "two_samples.txt",
@@ -266,6 +277,22 @@ class TestDensityCommand:
         error = json.loads(err)
         assert error["error"] == "data" and f"{f}:2:" in error["detail"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("domain, text, detail", [
+        ("-inf:inf", "0.25\n", "finite"),
+        ("0:inf", "0.25\n", "finite"),
+        ("0:1", "0.25\nnan\n0.5\n", "nan at index 1 "),
+    ])
+    def test_non_finite_is_one_json_error_line(self, capsys, tmp_path, domain, text,
+                                               detail):
+        f = tmp_path / "reals.csv"
+        f.write_text(text)
+        code, rep, err = run(capsys, "density", "--in", f, f"--domain={domain}")
+        assert code == 3 and rep is None
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "data" and detail in error["detail"]
+
 
 class TestMonteCarloCommand:
     def test_identity_type1(self, capsys):
@@ -298,6 +325,28 @@ class TestMonteCarloCommand:
         assert code == 0
         assert rep["value_bits_per_letter"] > 0
 
+    def test_single_trial_report_is_strict_json(self, capsys):
+        # one trial has no standard error: the report says null, not NaN
+        code = main(["montecarlo", "--test", "kl-redundancy",
+                     "--source", str(DATA / "sticky_chain.txt"),
+                     "--trials", "1", "--length", "50"])
+        out = capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rep = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert rep["stderr"] is None and rep["value_bits_per_letter"] > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_domain_is_one_json_error_line(self, capsys):
+        code, rep, err = run(capsys, "montecarlo", "--test", "partition-si",
+                             "--trials", "2", "--domain=0:inf")
+        assert code == 3 and rep is None
+        assert len(err.splitlines()) == 1
+        assert "finite" in json.loads(err)["detail"]
+
 
 @pytest.mark.parametrize("argv", [
     ["montecarlo", "--test", "identity", "--trials", "0"],
@@ -325,6 +374,9 @@ class TestMonteCarloCommand:
     ["compress", "--in", DATA / "mixed.txt", "--out", DATA / "missing" / "x.uct",
      "--alpha", "0.1"],
     ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--dep", "3"],
+    # depths whose 2^depth cell labels would take gigabytes
+    ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--depth", "21"],
+    ["montecarlo", "--test", "partition-si", "--depth", "21"],
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, rep, err = run(capsys, *argv)

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctseries import coding
 from uctseries.coding import (
     CodelengthProvider,
     ExternalCompressor,
+    UniformModel,
     arithmetic_decode,
     arithmetic_encode,
     arithmetic_provider,
     compress_container,
     decompress_container,
-    external_codelength,
-    ideal_codelength,
     measure_provider,
-    uniform_iid_model,
 )
 from uctseries.estimators import (
     DEFAULT_MAX_EXPLICIT_ORDER,
@@ -55,20 +54,24 @@ class _IidModel:
             return float(np.log2(self.probs[x.symbols]).sum())
 
 
+def _ideal_bits(x, measure_log2prob):
+    return measure_provider(measure_log2prob, "measure").codelength(x)
+
+
 class TestIdealCodelength:
     def test_mixture_codelength_of_00(self):
-        bits = ideal_codelength(seq("00"), r_log2prob)
+        bits = _ideal_bits(seq("00"), r_log2prob)
         assert bits == pytest.approx(-math.log2(0.296), abs=3e-3)
 
     def test_uniform_measure(self):
         model = _IidModel([0.25] * 4)
         x = SymbolSeq(Alphabet.of_size(4), [0, 1, 2, 3, 0])
-        assert ideal_codelength(x, model.log2prob) == pytest.approx(10.0, abs=1e-12)
+        assert _ideal_bits(x, model.log2prob) == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_probability_rejected(self):
         model = _IidModel([1.0, 0.0])
         with pytest.raises(ValueError):
-            ideal_codelength(seq("01"), model.log2prob)
+            _ideal_bits(seq("01"), model.log2prob)
 
 
 class TestArithmeticCodec:
@@ -145,7 +148,7 @@ class TestArithmeticCodec:
             t = int(rng.integers(1, 40))
             x = SymbolSeq(BINARY, rng.integers(0, 2, size=t))
             _, nbits = arithmetic_encode(x, MixtureEstimator(BINARY))
-            assert ideal_codelength(x, r_log2prob) <= nbits
+            assert _ideal_bits(x, r_log2prob) <= nbits
 
     def test_arithmetic_provider_kind(self):
         p = arithmetic_provider()
@@ -272,6 +275,23 @@ class TestContainer:
         with pytest.raises(ValueError, match="differs"):
             decompress_container(blob, alphabet=Alphabet.of_size(3))
 
+    def test_alphabet_beyond_u16_rejected_before_encoding(self, monkeypatch):
+        def no_encoding(*args):
+            raise AssertionError("encoded before the size check")
+
+        monkeypatch.setattr(coding, "arithmetic_encode", no_encoding)
+        x = SymbolSeq(Alphabet.of_size(70_000), [69_999, 0])
+        with pytest.raises(ValueError, match="at most 65535 symbols"):
+            compress_container(x)
+
+    def test_uniform_model_round_trip(self):
+        alphabet = Alphabet.of_size(4)
+        x = SymbolSeq(alphabet, np.arange(100) % 4)
+        payload, nbits = arithmetic_encode(x, UniformModel(alphabet))
+        out = arithmetic_decode(payload, len(x), UniformModel(alphabet), alphabet)
+        assert (out.symbols == x.symbols).all()
+        assert nbits <= 2 * 100 + 2
+
 
 ZLIB_CMD = (
     f'{sys.executable} -c "import sys,zlib;'
@@ -286,28 +306,28 @@ def _compressor_cmd():
 class TestExternalCompressor:
     def test_constant_sequence_is_compressible(self):
         x = SymbolSeq(BINARY, np.zeros(10_000, dtype=np.int64))
-        bits = external_codelength(x, _compressor_cmd())
+        bits = ExternalCompressor(_compressor_cmd()).codelength(x)
         assert 0 < bits < 0.1 * 10_000 * math.log2(2) + 2000
 
     def test_uniform_bytes_incompressible(self):
         rng = np.random.default_rng(9)
         alphabet = Alphabet.of_size(256)
         x = SymbolSeq(alphabet, rng.integers(0, 256, size=10_000))
-        bits = external_codelength(x, _compressor_cmd())
+        bits = ExternalCompressor(_compressor_cmd()).codelength(x)
         assert bits >= 8 * 10_000 - 512
 
     def test_empty_sequence_has_container_overhead(self):
-        bits = external_codelength(seq(""), _compressor_cmd())
+        bits = ExternalCompressor(_compressor_cmd()).codelength(seq(""))
         assert bits > 0
 
     def test_deterministic(self):
         x = SymbolSeq(BINARY, np.tile([0, 1, 1], 500))
-        cmd = _compressor_cmd()
-        assert external_codelength(x, cmd) == external_codelength(x, cmd)
+        compressor = ExternalCompressor(_compressor_cmd())
+        assert compressor.codelength(x) == compressor.codelength(x)
 
     def test_missing_command(self):
         with pytest.raises(OSError):
-            external_codelength(seq("01"), "definitely-not-a-real-binary-xyz")
+            ExternalCompressor("definitely-not-a-real-binary-xyz").codelength(seq("01"))
 
     def test_large_alphabet_rejected(self):
         big = Alphabet.of_size(300)
@@ -323,4 +343,4 @@ class TestExternalCompressor:
         if not shutil.which("cat"):
             pytest.skip("no cat binary")
         x = seq("01011")
-        assert external_codelength(x, "cat") == 40.0
+        assert ExternalCompressor("cat").codelength(x) == 40.0

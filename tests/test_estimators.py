@@ -187,7 +187,7 @@ class TestKt:
 class TestKtState:
     def test_fresh_state_uniform(self):
         st = KtState(BINARY, 0)
-        assert st.conditional_probs() == [0.5, 0.5]
+        assert st.conditional_probs().tolist() == [0.5, 0.5]
 
     def test_k0_conditional_after_01010(self):
         st = KtState(BINARY, 0).consume(seq("01010"))

@@ -50,6 +50,17 @@ class TestPartition:
             with pytest.raises(ValueError, match="depth"):
                 Partition(0.0, 1.0, depth)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+    ])
+    def test_bounds_must_be_finite(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            Partition(lower, upper, 2)
+
+    def test_nan_rejected_by_index(self):
+        with pytest.raises(DomainError, match="nan at index 2 "):
+            Partition(0.0, 1.0, 3).cell_index([0.1, 0.5, math.nan, 0.2])
+
     def test_below_lower_rejected(self):
         with pytest.raises(DomainError):
             Partition(0.0, 1.0, 2).cell_index([-0.01])
@@ -163,6 +174,29 @@ class TestDensityEstimate:
             with pytest.raises(DomainError):
                 est.append(1.0)
             assert est.t == 1
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 3, 8])
+    def test_consume_equals_appending_one_at_a_time(self, max_depth):
+        xs = sign_process_generate(0.3, 120, seed=max_depth)
+        batch = DensityEstimator(-1.0, 1.0, max_depth).consume(xs[:70]).consume(xs[70:])
+        single = DensityEstimator(-1.0, 1.0, max_depth)
+        for x in xs:
+            single.append(float(x))
+        assert batch.t == single.t == xs.size
+        assert batch.log2_density == single.log2_density
+        assert (batch.conditional_cell_log2densities().tolist()
+                == single.conditional_cell_log2densities().tolist())
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_consume_rejects_a_bad_value_before_any_state_changes(self, k):
+        est = DensityEstimator(0.0, 1.0, max_depth=3).consume([0.1, 0.7, 0.4])
+        before = (est.t, est.log2_density, est.conditional_cell_log2densities().tolist())
+        values = [0.2, 0.9, 0.5, 0.3, 0.6]
+        values[k] = 1.2
+        with pytest.raises(DomainError, match=f"at index {k} "):
+            est.consume(values)
+        after = (est.t, est.log2_density, est.conditional_cell_log2densities().tolist())
+        assert after == before
 
 
 class TestConditionalDensity:
