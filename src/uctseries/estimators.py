@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .seqmodel import (
     Alphabet,
@@ -82,6 +81,44 @@ def order_weight_tail(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Log-gamma of integer counts
+
+# Longest table kept per offset (2^16 floats, 512 KiB), and most offsets kept.
+_LGAMMA_TABLE_CAP = 1 << 16
+_LGAMMA_MAX_TABLES = 64
+_lgamma_tables: dict[float, np.ndarray] = {}
+_NO_TABLE = np.empty(0)
+
+
+def _lgamma_counts(counts: np.ndarray, offset: float) -> np.ndarray:
+    """ln Gamma(c + offset) for every nonnegative integer count c in `counts`.
+
+    Each value equals math.lgamma(c + offset).  Counts below the cap are
+    read from a table per offset, grown on demand (doubling) up to
+    _LGAMMA_TABLE_CAP entries; the few larger counts are evaluated one at
+    a time.
+    """
+    table = _lgamma_tables.get(offset, _NO_TABLE)
+    try:
+        return table[counts]
+    except IndexError:  # a count past the table's end
+        pass
+    top = int(counts.max())
+    if table.size < _LGAMMA_TABLE_CAP:
+        if offset not in _lgamma_tables and len(_lgamma_tables) >= _LGAMMA_MAX_TABLES:
+            _lgamma_tables.clear()
+        size = min(max(top + 1, 2 * table.size), _LGAMMA_TABLE_CAP)
+        grown = [math.lgamma(c + offset) for c in range(table.size, size)]
+        table = _lgamma_tables[offset] = np.concatenate([table, grown])
+        if top < size:
+            return table[counts]
+    big = counts >= table.size
+    out = table[np.where(big, 0, counts)]
+    out[big] = [math.lgamma(c + offset) for c in counts[big].tolist()]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Laplace (add-one) estimator, order 0
 
 
@@ -98,8 +135,8 @@ def laplace_log2prob(x: SymbolSeq) -> LogProb:
     The product telescopes to  prod_a nu(a)! * (|A|-1)! / (t+|A|-1)!.
     """
     size = x.alphabet.size
-    nu = window_counts(x, 0).pair  # unseen symbols add gammaln(1) = 0
-    val = gammaln(nu + 1.0).sum() + gammaln(size) - gammaln(len(x) + size)
+    nu = window_counts(x, 0).pair  # unseen symbols add lgamma(1) = 0
+    val = _lgamma_counts(nu, 1.0).sum() + math.lgamma(size) - math.lgamma(len(x) + size)
     return float(val / _LN2)
 
 
@@ -118,8 +155,8 @@ def kt_log2prob(x, m: int) -> LogProb:
     counts = window_counts(x, m)
     prefix_bits = sum(min(m, arr.size) for arr in samples) * math.log2(size)
     pair, ctx = counts.pair, counts.context
-    num = gammaln(pair + 0.5).sum() - pair.size * gammaln(0.5)
-    den = gammaln(ctx + size / 2.0).sum() - ctx.size * gammaln(size / 2.0)
+    num = _lgamma_counts(pair, 0.5).sum() - pair.size * math.lgamma(0.5)
+    den = _lgamma_counts(ctx, size / 2.0).sum() - ctx.size * math.lgamma(size / 2.0)
     return float(-prefix_bits + (num - den) / _LN2)
 
 

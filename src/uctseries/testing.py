@@ -166,14 +166,22 @@ def serial_independence_test(x, m: int, alpha: float,
 def _cell_probs(null_density, partition: Partition) -> np.ndarray:
     """Null probability of every cell: exact for piecewise-constant
     densities, adaptive quadrature (rtol 1e-8) for callables."""
+    exact = isinstance(null_density, PiecewiseConstantDensity)
+    if not exact:
+        try:
+            from scipy import integrate  # slow to import; only callables need it
+        except ImportError as exc:
+            raise ImportError(
+                "a callable null density needs scipy for quadrature; install the "
+                "'quad' extra (pip install 'uctseries[quad]') or pass a "
+                "PiecewiseConstantDensity"
+            ) from exc
     probs = np.empty(partition.cells)
     for i in range(partition.cells):
         lo, hi = partition.cell_bounds(i)
-        if isinstance(null_density, PiecewiseConstantDensity):
+        if exact:
             probs[i] = null_density.integral(lo, hi)
         else:
-            from scipy import integrate  # slow to import; only callables need it
-
             val, _ = integrate.quad(null_density, lo, hi, epsrel=1e-8, limit=200)
             probs[i] = val
     total = probs.sum()

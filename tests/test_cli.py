@@ -385,15 +385,23 @@ def test_out_of_range_option_is_usage_error(capsys, argv):
 
 
 class TestSubprocessEntry:
-    def test_import_leaves_quadrature_unloaded(self):
-        # scipy.integrate serves only callable null densities
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, uctseries; print('scipy.integrate' in sys.modules)"],
-            capture_output=True, text=True,
+    def test_import_leaves_quadrature_unloaded(self, tmp_path):
+        # scipy.integrate serves only callable null densities, and nothing
+        # else loads scipy: not the import, not a command
+        script = (
+            "import sys, uctseries\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "def loaded(): return sorted({'scipy', 'scipy.special'} & set(sys.modules))\n"
+            "print(loaded())\n"
+            "from uctseries import cli\n"
+            f"code = cli.main(['estimate', '--in', {str(DATA / 'mixed.txt')!r},"
+            f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+            "print(code, loaded())\n"
         )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "[]", "0 []"]
+        assert json.loads((tmp_path / "report.json").read_text())["lengths"]
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -5,6 +5,7 @@ from math import lgamma, log2
 import numpy as np
 import pytest
 
+from uctseries import estimators
 from uctseries.estimators import (
     KtState,
     MarkovSource,
@@ -182,6 +183,36 @@ class TestKt:
                     assert joint == pytest.approx(
                         kt_log2prob(SymbolSeq(BINARY, list(xs)), m), abs=1e-10
                     )
+
+    def test_context_counts_above_table_cap(self):
+        # 80000 symbols, 95% zeros: the order-0 and order-1 counts of "0"
+        # pass the log-gamma table cap and take the one-at-a-time path
+        rng = np.random.default_rng(37)
+        arr = (rng.random(80_000) < 0.05).astype(int).tolist()
+        x = SymbolSeq(BINARY, arr)
+        assert max(arr.count(0), arr.count(1)) > estimators._LGAMMA_TABLE_CAP
+        for m in (0, 1, 3):
+            assert kt_log2prob(x, m) == pytest.approx(brute_kt([arr], m, 2), abs=1e-9)
+
+
+class TestLgammaCounts:
+    OFFSETS = [0.5, 1.0] + [size / 2.0 for size in (1, 2, 3, 256, 65535)]
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    def test_equals_math_lgamma(self, offset):
+        cap = estimators._LGAMMA_TABLE_CAP
+        counts = np.concatenate([np.arange(cap + 2), [10**6]])
+        got = estimators._lgamma_counts(counts, offset)
+        assert got.tolist() == [lgamma(c + offset) for c in counts.tolist()]
+        empty = estimators._lgamma_counts(np.array([], dtype=np.int64), offset)
+        assert empty.shape == (0,)
+
+    def test_tables_stay_within_cap(self):
+        for offset in self.OFFSETS:
+            estimators._lgamma_counts(np.array([3, 10**6, 7]), offset)
+        tables = estimators._lgamma_tables
+        assert 0 < len(tables) <= estimators._LGAMMA_MAX_TABLES
+        assert max(t.size for t in tables.values()) <= estimators._LGAMMA_TABLE_CAP
 
 
 class TestKtState:

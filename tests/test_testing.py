@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -296,7 +297,8 @@ class TestPartitionMetaTest:
         total = sum(alpha * order_weight(i) for i in range(1, 200))
         assert total <= alpha + 1e-12
 
-    def test_identity_kind_uniform_null(self):
+    def test_identity_kind_uniform_null(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # exact cells need no quadrature
         rng = np.random.default_rng(11)
         null = PiecewiseConstantDensity.uniform(0.0, 1.0)
         rep = partition_meta_test(
@@ -321,6 +323,12 @@ class TestPartitionMetaTest:
             null_density=lambda x: 1.0,
         )
         assert rep.verdict == "accept"
+
+    def test_callable_null_density_without_scipy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(ImportError, match=r"'quad' extra"):
+            partition_meta_test(np.random.default_rng(17).random(200), 0.05,
+                                kind="id", max_depth=2, null_density=lambda x: 1.0)
 
     def test_si_kind_restricted_to_order_zero(self):
         rng = np.random.default_rng(19)
