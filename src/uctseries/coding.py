@@ -165,7 +165,7 @@ def _cumulative_freqs(probs) -> list[int]:
     collapse.  Deterministic, so encoder and decoder derive identical
     tables from the same model state.
     """
-    probs = [float(p) for p in probs]
+    probs = probs.tolist()
     total = sum(probs)
     scale = (1 << _FREQ_BITS) - (len(probs) << 10)
     cum = [0]

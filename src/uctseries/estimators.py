@@ -178,10 +178,22 @@ class MixtureEstimator:
     PPM): node 0 is the empty context and the child of node v for symbol
     s is v extended one symbol into the past, so walking the current
     sample's recent symbols backwards from the root reaches the context
-    of every order.  Each node owns one row of symbol counts.  An order
-    whose context is unseen, or not yet complete in the current sample,
-    is uniform.  Conditionals are maintained through posterior component
-    weights, so no per-order probability ever underflows.
+    of every order.  Each node keeps a sparse row, a {symbol: count} dict,
+    and the running total of its counts (a float, exact because counts
+    are integers).  An order whose context is unseen, or not yet complete
+    in the current sample, is uniform.  Conditionals are maintained
+    through posterior component weights, so no per-order probability
+    ever underflows.
+
+    The step is plain Python floats.  `append` touches only the coded
+    symbol's column along the current path.  `conditional_probs` computes
+    one column per distinct row of counts along the path: rows nest, so
+    a symbol no deeper context has seen shares its column with every
+    symbol of equal count, and all never-seen symbols share one column.
+    It skips additions that provably leave every column unchanged.  Each
+    column is otherwise the dense formula's sum, taken in the same order
+    (uniform tail, orders 0, 1, ...), so the results are bit-identical
+    to the dense formula.
     """
 
     def __init__(self, alphabet: Alphabet,
@@ -191,12 +203,12 @@ class MixtureEstimator:
         self.alphabet = alphabet
         self.max_explicit_order = max_explicit_order
         # posterior weights: the uniform tail first, then orders 0, 1, ...
-        self._w = np.array(
-            [order_weight_tail(max_explicit_order + 2)]
-            + [order_weight(i + 1) for i in range(max_explicit_order + 1)]
-        )
+        self._w = [order_weight_tail(max_explicit_order + 2)] + [
+            order_weight(i + 1) for i in range(max_explicit_order + 1)
+        ]
         self._child: dict[tuple[int, int], int] = {}
-        self._counts = np.zeros((64, alphabet.size))  # doubled when full
+        self._rows: list[dict[int, int]] = [{}]  # per node: {symbol: count}
+        self._totals: list[float] = [0.0]  # per node: sum of its row
         self._hist: list[int] = []  # last max_explicit_order symbols of the sample
         self.log2prob: LogProb = 0.0
         self._max_sample_length = 0
@@ -216,53 +228,95 @@ class MixtureEstimator:
             path.append(node)
         return path
 
-    def _terms(self, path: list[int], cols: slice) -> np.ndarray:
-        """Weighted conditionals of the symbols in `cols`: row 0 is the
-        uniform tail's share, row i + 1 order i's; the rows sum to R's."""
-        size = self.alphabet.size
-        counts = self._counts[path]
-        totals = counts.sum(axis=1, keepdims=True)  # exact: integer counts
-        cond = (counts[:, cols] + 0.5) / (totals + size / 2.0)
-        n = len(path) + 1
-        terms = np.empty((self._w.size, cond.shape[1]))
-        terms[0] = self._w[0] / size
-        terms[1:n] = self._w[1:n, None] * cond
-        terms[n:] = self._w[n:, None] * (1.0 / size)
-        return terms
-
     def conditional_probs(self) -> np.ndarray:
-        terms = self._terms(self._path(), slice(None))
-        return np.add.accumulate(terms, axis=0)[-1]
+        size = self.alphabet.size
+        half = size / 2.0
+        w, rows, totals = self._w, self._rows, self._totals
+        path = self._path()
+        # The column of a symbol no context has seen has the smallest
+        # partial sum of all columns at every addition.  An addition that
+        # leaves that partial unchanged even when doubled leaves every
+        # column unchanged, so the columns below make only the live ones.
+        # An order's share is at most its weight: c + 0.5 <= total + |A|/2.
+        head = unseen = w[0] / size
+        live_rows = []  # (weight, row, denominator) of live path orders
+        for wi, node in zip(w[1:], path):
+            den = totals[node] + half
+            if unseen + 2.0 * wi != unseen:
+                live_rows.append((wi, rows[node], den))
+            unseen += wi * (0.5 / den)
+        live_tail = []  # live shares of the uniform orders
+        for wi in w[len(path) + 1:]:
+            term = wi * (1.0 / size)
+            if unseen + 2.0 * term != unseen:
+                live_tail.append(term)
+            unseen += term
+
+        def column(s: int) -> float:
+            acc = head
+            for wi, row, den in live_rows:
+                acc += wi * ((row.get(s, 0) + 0.5) / den)
+            for term in live_tail:
+                acc += term
+            return acc
+
+        probs = [unseen] * size
+        if live_rows:
+            # Rows nest along the path (a symbol counted in a context is
+            # counted in every shorter one), so a symbol missing from the
+            # second live row shares its column with every symbol of equal
+            # count in the first, and one missing from the first is unseen.
+            first = live_rows[0][1]
+            second = live_rows[1][1] if len(live_rows) > 1 else {}
+            shared: dict[int, float] = {}
+            for s, c in first.items():
+                if s in second:
+                    probs[s] = column(s)
+                    continue
+                p = shared.get(c)
+                if p is None:
+                    p = shared[c] = column(s)
+                probs[s] = p
+        return np.array(probs)
 
     def conditional_log2prob(self, a: int) -> LogProb:
         return float(np.log2(self.conditional_probs()[int(a)]))
 
     def append(self, a: int) -> None:
         a = int(a)
+        size = self.alphabet.size
+        half = size / 2.0
+        w, rows, totals = self._w, self._rows, self._totals
         path = self._path()
-        joint = self._terms(path, slice(a, a + 1))[:, 0]
-        step = np.add.accumulate(joint)[-1]
+        # joint[i] is component i's share of R's conditional of a, summed
+        # left to right as the dense formula does
+        joint = [w[0] / size]
+        step = joint[0]
+        for wi, node in zip(w[1:], path):
+            term = wi * ((rows[node].get(a, 0) + 0.5) / (totals[node] + half))
+            joint.append(term)
+            step += term
+        for wi in w[len(path) + 1:]:
+            term = wi * (1.0 / size)
+            joint.append(term)
+            step += term
         self.log2prob += math.log2(step)
-        self._w = joint / step
+        self._w = [term / step for term in joint]
+        for node in path:
+            row = rows[node]
+            row[a] = row.get(a, 0) + 1
+            totals[node] += 1.0
         # contexts first completed or first seen now get their nodes
         node = path[-1]
         for s in reversed(self._hist[:len(self._hist) - len(path) + 1]):
-            self._child[(node, s)] = node = self._new_node()
-            path.append(node)
-        self._counts[path, a] += 1.0
+            self._child[(node, s)] = node = len(rows)
+            rows.append({a: 1})
+            totals.append(1.0)
         self._hist.append(a)
         if len(self._hist) > self.max_explicit_order:
             del self._hist[0]
         self._pos += 1
         self._max_sample_length = max(self._max_sample_length, self._pos)
-
-    def _new_node(self) -> int:
-        node = len(self._child) + 1
-        if node == len(self._counts):
-            grown = np.zeros((2 * node, self.alphabet.size))  # pages stay untouched
-            grown[:node] = self._counts
-            self._counts = grown
-        return node
 
     def new_sample(self) -> None:
         self._hist = []
@@ -273,8 +327,8 @@ class MixtureEstimator:
         for j, arr in enumerate(samples):
             if j:
                 self.new_sample()
-            for a in arr:
-                self.append(int(a))
+            for a in arr.tolist():
+                self.append(a)
         return self
 
 
@@ -292,8 +346,7 @@ class KtState(MixtureEstimator):
             raise ValueError("order must be nonnegative")
         super().__init__(alphabet, order)
         self.order = order
-        self._w = np.zeros(order + 2)
-        self._w[-1] = 1.0
+        self._w = [0.0] * (order + 1) + [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +422,18 @@ def side_info_cond_log2probs(pair_alphabet: PairAlphabet, history, y_next: int,
                              ) -> np.ndarray:
     """log2 conditionals of the next x symbol given paired history and y.
 
-    `history` is an iterable of (x, y) index pairs, fed to a fresh mixture
-    over the product alphabet.  The returned vector is normalized over x.
+    `history` is an iterable of (x, y) index pairs, fed as the paired
+    codes x*|Y| + y to a fresh mixture over the product alphabet.  The
+    returned vector is normalized over x.
     """
-    estimator = MixtureEstimator(pair_alphabet.product, max_explicit_order)
-    for ix, iy in history:
-        estimator.append(pair_alphabet.pair_index(ix, iy))
-    cond = estimator.conditional_probs()
-    ny = pair_alphabet.y_alphabet.size
-    column = np.asarray(
-        [cond[ix * ny + int(y_next)] for ix in range(pair_alphabet.x_alphabet.size)]
-    )
+    nx, ny = pair_alphabet.x_alphabet.size, pair_alphabet.y_alphabet.size
+    pairs = np.asarray(list(history), dtype=np.int64).reshape(-1, 2)
+    if ((pairs < 0) | (pairs >= (nx, ny))).any() or not 0 <= y_next < ny:
+        raise AlphabetMismatchError("pair component out of range")
+    product = pair_alphabet.product
+    estimator = MixtureEstimator(product, max_explicit_order).consume(
+        SymbolSeq(product, pairs[:, 0] * ny + pairs[:, 1]))
+    column = estimator.conditional_probs()[int(y_next)::ny]
     return np.log2(column / column.sum())
 
 

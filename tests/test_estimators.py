@@ -1,11 +1,16 @@
 import math
+import subprocess
+import sys
 from itertools import product
 from math import lgamma, log2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctseries import estimators
+from uctseries.coding import arithmetic_encode
 from uctseries.estimators import (
     KtState,
     MarkovSource,
@@ -22,7 +27,7 @@ from uctseries.estimators import (
     r_log2prob,
     side_info_cond_log2probs,
 )
-from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
+from uctseries.seqmodel import Alphabet, AlphabetMismatchError, MultiSample, SymbolSeq
 
 BINARY = Alphabet.of_size(2)
 
@@ -367,6 +372,140 @@ class TestMixture:
         assert total == pytest.approx(r_log2prob(SymbolSeq(BINARY, arr)), abs=1e-10)
 
 
+class DenseMixture:
+    """Oracle: the dense numpy step of the sequential mixture.
+
+    Every context (a tuple of recent symbols, the latest first) owns a
+    row of |A| float counts; one array holds every order's weighted
+    conditional, row 0 the uniform tail's, and np.add.accumulate sums it
+    along the orders.  `weights` are the prior weights in that order.
+    """
+
+    def __init__(self, size, max_order, weights):
+        self.size, self.max_order = size, max_order
+        self.w = np.array(weights, dtype=float)
+        self.counts = {(): np.zeros(size)}
+        self.hist = []
+        self.log2prob = 0.0
+
+    def _path(self):
+        path = [()]
+        for k in range(1, len(self.hist) + 1):
+            ctx = tuple(reversed(self.hist[len(self.hist) - k:]))
+            if ctx not in self.counts:
+                break
+            path.append(ctx)
+        return path
+
+    def _terms(self, path, cols):
+        counts = np.array([self.counts[ctx] for ctx in path])
+        totals = counts.sum(axis=1, keepdims=True)
+        cond = (counts[:, cols] + 0.5) / (totals + self.size / 2.0)
+        n = len(path) + 1
+        terms = np.empty((self.w.size, cond.shape[1]))
+        terms[0] = self.w[0] / self.size
+        terms[1:n] = self.w[1:n, None] * cond
+        terms[n:] = self.w[n:, None] * (1.0 / self.size)
+        return terms
+
+    def conditional_probs(self):
+        return np.add.accumulate(self._terms(self._path(), slice(None)), axis=0)[-1]
+
+    def append(self, a):
+        joint = self._terms(self._path(), slice(a, a + 1))[:, 0]
+        step = np.add.accumulate(joint)[-1]
+        self.log2prob += math.log2(step)
+        self.w = joint / step
+        for k in range(len(self.hist) + 1):
+            ctx = tuple(reversed(self.hist[len(self.hist) - k:]))
+            self.counts.setdefault(ctx, np.zeros(self.size))[a] += 1.0
+        self.hist.append(a)
+        if len(self.hist) > self.max_order:
+            del self.hist[0]
+
+    def new_sample(self):
+        self.hist = []
+
+
+def _model_pair(alphabet, kind, order):
+    """A fresh sequential model and a fresh dense oracle with its weights."""
+    if kind == "kt":
+        return KtState(alphabet, order), DenseMixture(
+            alphabet.size, order, [0.0] * (order + 1) + [1.0])
+    weights = [order_weight_tail(order + 2)] + [order_weight(i + 1) for i in range(order + 1)]
+    return MixtureEstimator(alphabet, order), DenseMixture(alphabet.size, order, weights)
+
+
+def _assert_same_bits(alphabet, samples, kind, order):
+    """== on the conditionals before every step, log2prob after every
+    step, and the arithmetic payload."""
+    model, oracle = _model_pair(alphabet, kind, order)
+    for j, sample in enumerate(samples):
+        if j:
+            model.new_sample()
+            oracle.new_sample()
+        for a in sample:
+            assert model.conditional_probs().tolist() == oracle.conditional_probs().tolist()
+            model.append(a)
+            oracle.append(a)
+            assert model.log2prob == oracle.log2prob
+    assert model.conditional_probs().tolist() == oracle.conditional_probs().tolist()
+    seqs = [SymbolSeq(alphabet, s) for s in samples]
+    x = seqs[0] if len(seqs) == 1 else MultiSample(seqs)
+    model, oracle = _model_pair(alphabet, kind, order)
+    assert arithmetic_encode(x, model) == arithmetic_encode(x, oracle)
+
+
+@st.composite
+def _mixture_cases(draw):
+    """(alphabet, samples, model kind, order); the samples use a few
+    letters of the alphabet, so contexts recur even at |A| = 256."""
+    size = draw(st.sampled_from([1, 2, 3, 256]))
+    letters = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 7, 30, 80]), min_size=1, max_size=4))
+    samples = [draw(st.lists(st.sampled_from(letters), min_size=t, max_size=t))
+               for t in lengths]
+    if draw(st.booleans()):
+        return Alphabet.of_size(size), samples, "kt", draw(st.integers(0, 3))
+    return Alphabet.of_size(size), samples, "r", draw(st.sampled_from([0, 2, 16]))
+
+
+class TestSparseStepMatchesDenseOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_mixture_cases())
+    def test_bit_identical_at_every_step(self, case):
+        _assert_same_bits(*case)
+
+    @pytest.mark.parametrize("size", [2, 3, 256])
+    @pytest.mark.parametrize("kind,order", [("r", 16), ("r", 2), ("kt", 3)])
+    def test_bit_identical_on_long_skewed_samples(self, size, kind, order):
+        # long enough for posterior weights to fall below an ulp of the
+        # conditionals and to underflow, with empty and one-symbol samples
+        rng = np.random.default_rng(size + order)
+        probs = rng.dirichlet(np.full(size, 0.3))
+        samples = [rng.choice(size, size=n, p=probs).tolist() for n in (700, 0, 1, 300)]
+        _assert_same_bits(Alphabet.of_size(size), samples, kind, order)
+
+
+def test_peak_memory_of_large_alphabet_stays_small():
+    # one sparse row per context node: 2e4 uniform symbols over 256
+    # letters create about 3e5 nodes; dense |A|-float rows needed 1.1 GB
+    script = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from uctseries.estimators import MixtureEstimator\n"
+        "from uctseries.seqmodel import Alphabet, SymbolSeq\n"
+        "a = Alphabet.of_size(256)\n"
+        "x = SymbolSeq(a, np.random.default_rng(0).integers(0, 256, 20000))\n"
+        "MixtureEstimator(a).consume(x)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    kib = int(proc.stdout)  # ru_maxrss is in KiB on Linux
+    assert kib < 400 * 1024
+
+
 class TestSideInformation:
     def test_empty_history_uniform(self):
         pair = PairAlphabet(BINARY, BINARY)
@@ -398,6 +537,14 @@ class TestSideInformation:
             ]
         )
         assert np.exp2(lps) == pytest.approx(joint / joint.sum(), abs=1e-12)
+
+    @pytest.mark.parametrize("history,y_next", [
+        ([(2, 0)], 0), ([(0, 3)], 1), ([(1, 1), (-1, 0)], 1), ([(0, 1)], 3), ([], -1),
+    ])
+    def test_out_of_range_component_rejected(self, history, y_next):
+        pair = PairAlphabet(BINARY, Alphabet.of_size(3))
+        with pytest.raises(AlphabetMismatchError):
+            side_info_cond_log2probs(pair, history, y_next)
 
 
 class TestMarkovSource:
