@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -349,8 +350,10 @@ def _run_pool(kind, cfg, trials):
             with futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 chunk = max(1, trials // (workers * 8))
                 return list(pool.map(_mc_trial, payloads, chunksize=chunk))
-        except OSError:
-            pass  # restricted environments: fall back to in-process
+        except OSError as exc:  # restricted environments: fall back to in-process
+            logging.getLogger("uctseries").warning(
+                "process pool of %d workers failed (%s); running %d trials in-process",
+                workers, exc, trials)
     return [_mc_trial(p) for p in payloads]
 
 
@@ -428,8 +431,8 @@ def _ranged(kind, ok, requirement: str):
 _COUNT = _ranged(int, lambda v: v >= 1, "a positive integer")
 _ORDER = _ranged(int, lambda v: v >= 0, "a nonnegative integer")
 _LEVEL = _ranged(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
-# 2^depth cell labels per partition: depth 20 takes about 0.2 GB, 22 about 0.7 GB.
-_DEPTH = _ranged(int, lambda v: 0 <= v <= 20, "an integer in 0..20")
+_DEPTH = _ranged(int, lambda v: 0 <= v <= realvalued.MAX_DEPTH,
+                 f"an integer in 0..{realvalued.MAX_DEPTH}")
 
 
 _FLAGS = {

@@ -163,10 +163,14 @@ def _cumulative_freqs(probs) -> list[int]:
     ulps above one), every symbol gets at least one count, and the margin
     keeps totals strictly below the quarter range so subranges never
     collapse.  Deterministic, so encoder and decoder derive identical
-    tables from the same model state.
+    tables from the same model state.  The total is summed left to right
+    by hand: the built-in sum() compensates from Python 3.12 on, so the
+    tables, and the payload bytes, would depend on the interpreter.
     """
     probs = probs.tolist()
-    total = sum(probs)
+    total = 0.0
+    for p in probs:
+        total += p
     scale = (1 << _FREQ_BITS) - (len(probs) << 10)
     cum = [0]
     acc = 0

@@ -404,12 +404,7 @@ class PairAlphabet:
 
     @property
     def product(self) -> Alphabet:
-        labels = tuple(
-            f"{lx},{ly}"
-            for lx in self.x_alphabet.labels
-            for ly in self.y_alphabet.labels
-        )
-        return Alphabet(labels)
+        return Alphabet.of_size(self.x_alphabet.size * self.y_alphabet.size)
 
     def pair_index(self, ix: int, iy: int) -> int:
         if not (0 <= ix < self.x_alphabet.size and 0 <= iy < self.y_alphabet.size):

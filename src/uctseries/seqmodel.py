@@ -1,16 +1,19 @@
 """Alphabets, symbol sequences, multi-sample collections and the
 window-counting kernel.
 
-Symbols are dense integer indices; string labels exist only at the I/O
-boundary.  All statistics are sliding-window based and windows never
-straddle sample boundaries, so the counts of several independent samples
-are the sums of the per-sample counts.  Every batch count in the package
-comes from :func:`window_counts`.
+Symbols are dense integer indices and an alphabet is, to the numeric
+core, its size; string labels exist only at the I/O boundary, where an
+alphabet built by size makes its default labels on first use.  All
+statistics are sliding-window based and windows never straddle sample
+boundaries, so the counts of several independent samples are the sums
+of the per-sample counts.  Every batch count in the package comes from
+:func:`window_counts`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,35 +35,54 @@ class AlphabetMismatchError(ValueError):
     """Sequences or words over different alphabets were combined."""
 
 
-@dataclass(frozen=True)
+def _default_labels(size: int) -> tuple[str, ...]:
+    return tuple(map(str, range(size)))
+
+
+@dataclass(frozen=True, init=False)
 class Alphabet:
-    """Finite symbol set; labels are for parsing and reporting only.
+    """Finite symbol set: the indices 0..size-1.
+
+    The numeric core sees only the size.  Labels serve parsing and
+    reporting: explicit ones are kept, and an alphabet made by `of_size`
+    makes its default labels "0".."size-1" and the label index on first
+    use.  Explicit labels equal to the default ones make the same
+    alphabet as `of_size`.
 
     A single-letter alphabet is allowed: it arises naturally from trivial
     one-cell quantizers and every formula degrades gracefully to it.
     """
 
-    labels: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    size: int
+    _custom: tuple[str, ...] | None  # explicit labels other than the default
 
-    def __post_init__(self):
-        if len(self.labels) < 1:
-            raise ValueError("alphabet must contain at least one symbol")
-        index = {label: i for i, label in enumerate(self.labels)}
-        if len(index) != len(self.labels):
+    def __init__(self, labels: tuple[str, ...]):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise ValueError("alphabet labels must be pairwise distinct")
-        object.__setattr__(self, "_index", index)
+        custom = None if labels == _default_labels(len(labels)) else labels
+        self._set(len(labels), custom)
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+    def _set(self, size: int, custom) -> None:
+        if size < 1:
+            raise ValueError("alphabet must contain at least one symbol")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_custom", custom)
 
     @classmethod
     def of_size(cls, size: int) -> "Alphabet":
-        """Alphabet with default labels "0", "1", ..., str(size - 1)."""
-        if size < 1:
-            raise ValueError("alphabet size must be positive")
-        return cls(tuple(str(i) for i in range(size)))
+        """Alphabet of `size` symbols with default labels; stores no label."""
+        alphabet = cls.__new__(cls)
+        alphabet._set(int(size), None)
+        return alphabet
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self._custom or _default_labels(self.size)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         try:
@@ -70,10 +92,8 @@ class Alphabet:
 
 
 def _check_same_alphabet(a: Alphabet, b: Alphabet) -> None:
-    if a.labels != b.labels:
-        raise AlphabetMismatchError(
-            f"alphabets differ: {a.labels!r} vs {b.labels!r}"
-        )
+    if a != b:
+        raise AlphabetMismatchError(f"alphabets differ: {a!r} vs {b!r}")
 
 
 @dataclass(eq=False)
@@ -94,10 +114,16 @@ class SymbolSeq:
 
     @classmethod
     def from_labels(cls, alphabet: Alphabet, tokens) -> "SymbolSeq":
-        return cls(alphabet, np.array([alphabet.index(t) for t in tokens], dtype=np.int64))
+        index = alphabet._index
+        try:
+            symbols = [index[t] for t in tokens]
+        except KeyError as exc:
+            raise AlphabetMismatchError(f"unknown symbol label {exc.args[0]!r}") from None
+        return cls(alphabet, np.array(symbols, dtype=np.int64))
 
     def to_labels(self) -> list[str]:
-        return [self.alphabet.labels[i] for i in self.symbols]
+        labels = self.alphabet.labels
+        return [labels[i] for i in self.symbols.tolist()]
 
     def extended(self, word) -> "SymbolSeq":
         """New sequence with `word` (indices) appended."""

@@ -21,7 +21,7 @@ from .estimators import (
     MarkovSource,
     order_weight,
 )
-from .realvalued import Partition, PiecewiseConstantDensity
+from .realvalued import Partition, PiecewiseConstantDensity, _check_mixture_depth
 from .seqmodel import Alphabet, SymbolSeq, as_sample_arrays, window_counts
 
 __all__ = [
@@ -216,6 +216,7 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
         raise ValueError("kind must be 'si' or 'id'")
     if kind == "id" and null_density is None:
         raise ValueError("identity meta-test needs a null density")
+    _check_mixture_depth(max_depth)
     data = np.asarray(data, dtype=float).reshape(-1)
     t = data.size
     provider = ideal_r_provider(max_explicit_order)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from uctseries import cli
 from uctseries.cli import main
 from uctseries.coding import compress_container
+from uctseries.estimators import DEFAULT_MAX_EXPLICIT_ORDER, MarkovSource
 from uctseries.seqmodel import Alphabet, SymbolSeq
 
 DATA = Path(__file__).parent / "data"
@@ -295,6 +297,31 @@ class TestDensityCommand:
 
 
 class TestMonteCarloCommand:
+    def test_pool_failure_warns_and_runs_in_process(self, capsys, caplog, monkeypatch):
+        args = ("montecarlo", "--test", "identity", "--trials", "16",
+                "--length", "32", "--seed", "2")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        in_process = run(capsys, *args)
+        null = MarkovSource.uniform(Alphabet.of_size(2))
+        cfg = {"seed": 2, "alpha": 0.05, "length": 32, "null": null, "source": null,
+               "max_order": DEFAULT_MAX_EXPLICIT_ORDER}
+        expected = [cli._mc_trial(("identity", cfg, i)) for i in range(16)]
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", no_pool)
+        caplog.set_level("WARNING", logger="uctseries")
+        for call, want in [(lambda: cli._run_pool("identity", cfg, 16), expected),
+                           (lambda: run(capsys, *args), in_process)]:
+            caplog.clear()
+            assert call() == want
+            [record] = caplog.records
+            assert record.name == "uctseries" and record.levelname == "WARNING"
+            assert "2 workers" in record.getMessage()
+            assert "no semaphores" in record.getMessage()
+
     def test_identity_type1(self, capsys):
         code, rep, _ = run(
             capsys, "montecarlo", "--test", "identity", "--trials", "40",
@@ -374,7 +401,7 @@ class TestMonteCarloCommand:
     ["compress", "--in", DATA / "mixed.txt", "--out", DATA / "missing" / "x.uct",
      "--alpha", "0.1"],
     ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--dep", "3"],
-    # depths whose 2^depth cell labels would take gigabytes
+    # depths past realvalued.MAX_DEPTH, where the context terms lose precision
     ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--depth", "21"],
     ["montecarlo", "--test", "partition-si", "--depth", "21"],
 ])
@@ -402,6 +429,25 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["False", "[]", "0 []"]
         assert json.loads((tmp_path / "report.json").read_text())["lengths"]
+
+    def test_depth_20_density_peak_memory(self):
+        # the 2^20 finest cells are indices and no label is built for
+        # them; 2^20 label strings took the peak to 194 MB.  VmHWM (Linux,
+        # kB) is this process's own peak: ru_maxrss would carry over the
+        # peak of the spawning test process through exec.
+        script = (
+            "import sys\n"
+            "from uctseries.cli import main\n"
+            f"code = main(['density', '--in', {str(DATA / 'uniform_reals.csv')!r},"
+            " '--domain', '0:1', '--depth', '20'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM'))\n"
+            "print(code, peak, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        code, kib = proc.stderr.split()
+        assert code == "0" and json.loads(proc.stdout)["depth"] == 20
+        assert int(kib) < 100 * 1024
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -507,6 +507,10 @@ def test_peak_memory_of_large_alphabet_stays_small():
 
 
 class TestSideInformation:
+    def test_product_is_a_size(self):
+        assert PairAlphabet(BINARY, BINARY).product == Alphabet.of_size(4)
+        assert PairAlphabet(Alphabet(("a", "b")), Alphabet.of_size(3)).product.size == 6
+
     def test_empty_history_uniform(self):
         pair = PairAlphabet(BINARY, BINARY)
         for y in range(2):

@@ -50,6 +50,8 @@ CASES = {
          "--depth", "6", "--seed", "3"], 0),
     "density_uniform": (
         ["density", "--in", "uniform_reals.csv", "--domain", "0:1", "--depth", "4"], 0),
+    "density_uniform_depth20": (
+        ["density", "--in", "uniform_reals.csv", "--domain", "0:1", "--depth", "20"], 0),
     "predict_mixed": (["predict", "--in", "mixed.txt"], 0),
     "predict_side_info": (
         ["predict", "--in", "side_x.txt", "--in2", "side_y.txt"], 0),

@@ -5,6 +5,7 @@ import pytest
 
 from uctseries.estimators import order_weight
 from uctseries.realvalued import (
+    MAX_DEPTH,
     DensityEstimator,
     DomainError,
     Partition,
@@ -16,6 +17,7 @@ from uctseries.realvalued import (
     quantize,
     sign_process_generate,
 )
+from uctseries.testing import partition_meta_test
 
 # closed-form relative entropy rate of the sign process: the conditional
 # density takes the two values 1/2 +- alpha on unit-length halves
@@ -111,6 +113,18 @@ class TestQuantize:
     def test_depth_zero_all_zero(self):
         q = quantize([0.2, 0.9], Partition(0.0, 1.0, 0))
         assert q.symbols.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("mixture", [
+    lambda depth: density_log2([0.5, 0.25], 0.0, 1.0, max_depth=depth),
+    lambda depth: DensityEstimator(0.0, 1.0, max_depth=depth),
+    lambda depth: conditional_density(0.5, [0.25], 0.0, 1.0, max_depth=depth),
+    lambda depth: partition_meta_test([0.5, 0.25], 0.05, max_depth=depth),
+])
+def test_depth_mixtures_stop_at_max_depth(mixture):
+    # deeper context terms cancel to wrong bits: a bound, not a cost limit
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        mixture(MAX_DEPTH + 1)
 
 
 class TestDensityEstimate:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,32 @@ class TestAlphabet:
 
     def test_single_letter_alphabet_allowed(self):
         assert Alphabet.of_size(1).size == 1
+
+    def test_of_size_builds_no_labels(self):
+        start = time.perf_counter()
+        a = Alphabet.of_size(1 << 22)
+        assert time.perf_counter() - start < 0.05
+        assert a.size == 1 << 22
+
+    def test_equality_compares_size_and_explicit_labels(self):
+        assert Alphabet(("0", "1")) == Alphabet.of_size(2)
+        assert hash(Alphabet(("0", "1"))) == hash(Alphabet.of_size(2))
+        assert Alphabet(("a", "b")) != Alphabet.of_size(2)
+        assert Alphabet(("1", "0")) != Alphabet.of_size(2)
+        assert Alphabet.of_size(2) != Alphabet.of_size(3)
+
+    @pytest.mark.parametrize("alphabet,labels", [
+        (Alphabet.of_size(12), [str(i) for i in range(12)]),
+        (Alphabet(("up", "down", "flat")), ["up", "down", "flat"]),
+    ])
+    def test_labels_round_trip(self, alphabet, labels):
+        assert list(alphabet.labels) == labels
+        assert [alphabet.index(label) for label in labels] == list(range(alphabet.size))
+        x = SymbolSeq.from_labels(alphabet, labels[::-1])
+        assert x.symbols.tolist() == list(range(alphabet.size))[::-1]
+        assert x.to_labels() == labels[::-1]
+        with pytest.raises(AlphabetMismatchError, match="unknown symbol label"):
+            SymbolSeq.from_labels(alphabet, [labels[0], "?"])
 
 
 class TestSymbolSeq:
