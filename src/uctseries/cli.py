@@ -80,16 +80,11 @@ def _read_blocks(path: str) -> list[list[str]]:
 
 def _read_symbols(path: str, alphabet: Alphabet | None):
     blocks = _read_blocks(path)
+    if alphabet is None or _char_mode(alphabet):
+        blocks = ["".join(block) for block in blocks]  # a str iterates its characters
     if alphabet is None:
-        chars = sorted({c for block in blocks for line in block for c in line})
-        alphabet = Alphabet(tuple(chars))
-    samples = []
-    for block in blocks:
-        if _char_mode(alphabet):
-            tokens = [c for line in block for c in line]
-        else:
-            tokens = block
-        samples.append(SymbolSeq.from_labels(alphabet, tokens))
+        alphabet = Alphabet(tuple(sorted(set().union(*blocks))))
+    samples = [SymbolSeq.from_labels(alphabet, tokens) for tokens in blocks]
     return MultiSample(samples) if len(samples) > 1 else samples[0], alphabet
 
 
@@ -125,11 +120,8 @@ def _parse_domain(spec: str) -> tuple[float, float]:
 
 def _format_symbols(x, alphabet: Alphabet) -> str:
     samples = x.samples if isinstance(x, MultiSample) else [x]
-    chunks = []
-    for s in samples:
-        labels = s.to_labels()
-        chunks.append("".join(labels) if _char_mode(alphabet) else "\n".join(labels))
-    return "\n\n".join(chunks) + "\n"
+    sep = "" if _char_mode(alphabet) else "\n"
+    return "\n\n".join(sep.join(s.to_labels()) for s in samples) + "\n"
 
 
 def _provider(args):
@@ -190,7 +182,8 @@ def cmd_estimate(args) -> int:
     }
     if args.query is not None:
         word = _parse_word(args.query, alphabet)
-        clp = estimators.r_cond_log2prob(word, x, args.max_order)
+        # r_cond_log2prob's own difference, reusing lp so that x is counted once
+        clp = r_log2prob(x.extended(word), args.max_order) - lp
         report["query"] = {
             "word": args.query,
             "log2_prob": clp,

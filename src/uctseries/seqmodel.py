@@ -208,12 +208,12 @@ def window_counts(x, m: int) -> WindowCounts:
     """Pooled counts of the (m+1)-windows of x, grouped by length-m context.
 
     A window's code is its base-|A| value, so codes sort lexicographically
-    and a window's context code is code // |A|.  The code is built a few
-    symbols at a time, each chunk by one product over the sliding windows;
-    before the next chunk could pass 2^62, the codes so far are replaced by
-    their dense ranks (the rank renaming of suffix-array construction),
-    which keeps their order, so every alphabet size is counted exactly on
-    the same path.  Windows never straddle a sample boundary.
+    and a window's context code is code // |A|.  Codes are built by
+    Horner's rule over the concatenated samples, one symbol at a time;
+    before a step could pass 2^62, the codes so far are replaced by their
+    dense ranks (the rank renaming of suffix-array construction), which
+    keeps their order, so every alphabet size is counted exactly on the
+    same path.  Windows that straddle a sample boundary are dropped.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
@@ -226,25 +226,22 @@ def _count(samples: list[np.ndarray], size: int, m: int) -> WindowCounts:
     if not samples:
         empty = np.zeros(0, dtype=np.int64)
         return WindowCounts(empty, empty, empty, empty, empty)
-    bound, start = 1, 0
-    while start <= m:
+    flat = samples[0] if len(samples) == 1 else np.concatenate(samples)
+    n = flat.size - m  # windows starting at every position, boundaries included
+    codes = flat[:n].astype(np.int64)  # a copy: the steps below work in place
+    bound = size
+    for j in range(1, m + 1):
         if bound > _CODE_LIMIT // size:
-            ranks = np.unique(codes)
-            codes, bound = np.searchsorted(ranks, codes), ranks.size
-        width, scale = 1, size
-        while width <= m - start and bound * scale * size <= _CODE_LIMIT:
-            width, scale = width + 1, scale * size
-        powers = size ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        parts = [np.lib.stride_tricks.sliding_window_view(arr, width)[start:arr.size - m + start]
-                 @ powers for arr in samples]
-        part = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if start:
-            codes *= scale
-            codes += part
-        else:
-            codes = part
-        bound *= scale
-        start += width
+            ranks, inverse = np.unique(codes, return_inverse=True)
+            codes, bound = inverse.astype(np.int64, copy=False), ranks.size  # intp may be 32-bit
+        codes *= size
+        codes += flat[j:j + n]
+        bound *= size
+    if len(samples) > 1:
+        keep = np.ones(n, dtype=bool)
+        for end in np.cumsum([arr.size for arr in samples[:-1]]):
+            keep[end - m:end] = False  # windows that run into the next sample
+        codes = codes[keep]
     windows, pair = np.unique(codes, return_counts=True)
     ctx = windows // size
     starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))

@@ -430,24 +430,16 @@ class TestSubprocessEntry:
         assert proc.stdout.splitlines() == ["False", "[]", "0 []"]
         assert json.loads((tmp_path / "report.json").read_text())["lengths"]
 
-    def test_depth_20_density_peak_memory(self):
+    def test_depth_20_density_peak_memory(self, child_peak_kib):
         # the 2^20 finest cells are indices and no label is built for
-        # them; 2^20 label strings took the peak to 194 MB.  VmHWM (Linux,
-        # kB) is this process's own peak: ru_maxrss would carry over the
-        # peak of the spawning test process through exec.
-        script = (
-            "import sys\n"
+        # them; 2^20 label strings took the peak to 194 MB
+        stdout, kib = child_peak_kib(
             "from uctseries.cli import main\n"
-            f"code = main(['density', '--in', {str(DATA / 'uniform_reals.csv')!r},"
-            " '--domain', '0:1', '--depth', '20'])\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM'))\n"
-            "print(code, peak, file=sys.stderr)\n"
+            f"assert main(['density', '--in', {str(DATA / 'uniform_reals.csv')!r},"
+            " '--domain', '0:1', '--depth', '20']) == 0\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        code, kib = proc.stderr.split()
-        assert code == "0" and json.loads(proc.stdout)["depth"] == 20
-        assert int(kib) < 100 * 1024
+        assert json.loads(stdout)["depth"] == 20
+        assert kib < 100 * 1024
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

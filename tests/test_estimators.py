@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 from itertools import product
 from math import lgamma, log2
 
@@ -487,22 +485,17 @@ class TestSparseStepMatchesDenseOracle:
         _assert_same_bits(Alphabet.of_size(size), samples, kind, order)
 
 
-def test_peak_memory_of_large_alphabet_stays_small():
+def test_peak_memory_of_large_alphabet_stays_small(child_peak_kib):
     # one sparse row per context node: 2e4 uniform symbols over 256
     # letters create about 3e5 nodes; dense |A|-float rows needed 1.1 GB
-    script = (
-        "import resource\n"
+    _, kib = child_peak_kib(
         "import numpy as np\n"
         "from uctseries.estimators import MixtureEstimator\n"
         "from uctseries.seqmodel import Alphabet, SymbolSeq\n"
         "a = Alphabet.of_size(256)\n"
         "x = SymbolSeq(a, np.random.default_rng(0).integers(0, 256, 20000))\n"
         "MixtureEstimator(a).consume(x)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    kib = int(proc.stdout)  # ru_maxrss is in KiB on Linux
     assert kib < 400 * 1024
 
 

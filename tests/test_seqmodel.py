@@ -197,18 +197,23 @@ def brute_windows(samples, k):
 class TestWindowCountKernel:
     @pytest.mark.parametrize("size", [1, 2, 3, 256, 70000])
     def test_every_order_matches_brute_force(self, size):
-        # orders 0..10 pass the rank renaming at order 7 for 256 symbols
-        # and at order 3 for 70000; the samples include an empty one and
-        # ones shorter than the longest windows
+        # orders 0..16 (the default max order) pass the rank renaming at
+        # order 7 for 256 symbols and at order 3 for 70000; the samples
+        # include an empty one, ones shorter than the longest windows, and
+        # adjacent ones of lengths m and m+1, whose one window ends exactly
+        # at a sample boundary
         rng = np.random.default_rng(size)
         alphabet = Alphabet.of_size(size)
         letters = np.unique(np.r_[0, size - 1, rng.integers(0, size, size=2)])
         for _ in range(6):
             lengths = [0, 1, 5, int(rng.integers(8, 60)), int(rng.integers(0, 30))]
-            arrs = [rng.choice(letters, size=n) for n in lengths]
-            ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
-            for m in range(11):
+            for m in range(17):
+                sizes = lengths[:3] + [m, m + 1] + lengths[3:]
+                arrs = [rng.choice(letters, size=n) for n in sizes]
+                ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+                copies = [s.symbols.copy() for s in ms.samples]
                 counts = window_counts(ms, m)
+                assert all(np.array_equal(s.symbols, c) for s, c in zip(ms.samples, copies))
                 oracle = brute_windows([a.tolist() for a in arrs], m + 1)
                 windows = sorted(oracle)
                 assert counts.pair.tolist() == [oracle[w] for w in windows]
@@ -218,12 +223,12 @@ class TestWindowCountKernel:
                 assert counts.context.tolist() == [sum(c) for c in contexts.values()]
                 runs = [len(c) for c in contexts.values()]
                 assert counts.starts.tolist() == np.cumsum([0] + runs)[:-1].tolist()
-                assert counts.codes.size == sum(max(0, n - m) for n in lengths)
-                if m not in (0, 3, 7, 10):
+                assert counts.codes.size == sum(max(0, a.size - m) for a in arrs)
+                if m not in (0, 3, 7, 10, 16):
                     continue  # the dict view allocates an |A|-row per context
                 table = pair_counts(ms, m)
-                assert {ctx + (a,): int(n) for ctx, row in table.items()
-                        for a, n in enumerate(row) if n} == oracle
+                assert {ctx + (int(a),): int(row[a]) for ctx, row in table.items()
+                        for a in np.flatnonzero(row)} == oracle
 
     def test_no_windows(self):
         x = multi("", "01")
