@@ -384,8 +384,6 @@ def cmd_montecarlo(args) -> int:
     elif kind == "independence":
         cfg["source"] = (MarkovSource.from_file(args.source) if args.source
                          else MarkovSource.uniform(_parse_alphabet(args.alphabet or "2")))
-    elif kind != "partition-si":
-        raise _UsageError(f"unknown Monte Carlo test {kind!r}")
     rejected = _run_pool(kind, cfg, args.trials)
     rate = float(np.mean(rejected)) if rejected else 0.0
     se = math.sqrt(args.alpha * (1 - args.alpha) / args.trials)

@@ -179,19 +179,20 @@ class MixtureEstimator:
     s is v extended one symbol into the past, so walking the current
     sample's recent symbols backwards from the root reaches the context
     of every order.  Each node keeps a sparse row, a {symbol: count} dict,
-    and the running total of its counts (a float, exact because counts
-    are integers).  An order whose context is unseen, or not yet complete
-    in the current sample, is uniform.  Conditionals are maintained
-    through posterior component weights, so no per-order probability
-    ever underflows.
+    and its add-half denominator, row sum + |A|/2 (a float, exact: counts
+    are integers and |A|/2 a multiple of 1/2, far below 2^53).  An order
+    whose context is unseen, or not yet complete in the current sample, is
+    uniform.  Conditionals are maintained through posterior component
+    weights, so no per-order probability ever underflows.
 
     The step is plain Python floats.  `append` touches only the coded
-    symbol's column along the current path.  `conditional_probs` computes
-    one column per distinct row of counts along the path: rows nest, so
-    a symbol no deeper context has seen shares its column with every
-    symbol of equal count, and all never-seen symbols share one column.
-    It skips additions that provably leave every column unchanged.  Each
-    column is otherwise the dense formula's sum, taken in the same order
+    symbol's column along the stored context path, then walks the next
+    symbol's path once; `conditional_probs` reads it and computes one
+    column per distinct row of counts along it: rows nest, so a symbol
+    no deeper context has seen shares its column with every symbol of
+    equal count, and all never-seen symbols share one column.  It skips
+    additions that provably leave every column unchanged.  Each column
+    is otherwise the dense formula's sum, taken in the same order
     (uniform tail, orders 0, 1, ...), so the results are bit-identical
     to the dense formula.
     """
@@ -208,31 +209,16 @@ class MixtureEstimator:
         ]
         self._child: dict[tuple[int, int], int] = {}
         self._rows: list[dict[int, int]] = [{}]  # per node: {symbol: count}
-        self._totals: list[float] = [0.0]  # per node: sum of its row
+        self._dens: list[float] = [alphabet.size / 2.0]  # per node: row sum + |A|/2
         self._hist: list[int] = []  # last max_explicit_order symbols of the sample
+        self._path = [0]  # nodes of the current context of orders 0, 1, ... while seen
         self.log2prob: LogProb = 0.0
-        self._max_sample_length = 0
+        self.truncated = False
         self._pos = 0
-
-    @property
-    def truncated(self) -> bool:
-        return self._max_sample_length - 1 > self.max_explicit_order
-
-    def _path(self) -> list[int]:
-        """Nodes of the current context of orders 0, 1, ... while seen."""
-        node, path = 0, [0]
-        for s in reversed(self._hist):
-            node = self._child.get((node, s))
-            if node is None:
-                break
-            path.append(node)
-        return path
 
     def conditional_probs(self) -> np.ndarray:
         size = self.alphabet.size
-        half = size / 2.0
-        w, rows, totals = self._w, self._rows, self._totals
-        path = self._path()
+        w, rows, dens, path = self._w, self._rows, self._dens, self._path
         # The column of a symbol no context has seen has the smallest
         # partial sum of all columns at every addition.  An addition that
         # leaves that partial unchanged even when doubled leaves every
@@ -241,7 +227,7 @@ class MixtureEstimator:
         head = unseen = w[0] / size
         live_rows = []  # (weight, row, denominator) of live path orders
         for wi, node in zip(w[1:], path):
-            den = totals[node] + half
+            den = dens[node]
             if unseen + 2.0 * wi != unseen:
                 live_rows.append((wi, rows[node], den))
             unseen += wi * (0.5 / den)
@@ -285,15 +271,14 @@ class MixtureEstimator:
     def append(self, a: int) -> None:
         a = int(a)
         size = self.alphabet.size
-        half = size / 2.0
-        w, rows, totals = self._w, self._rows, self._totals
-        path = self._path()
+        w, rows, dens, child = self._w, self._rows, self._dens, self._child
+        hist, path = self._hist, self._path
         # joint[i] is component i's share of R's conditional of a, summed
         # left to right as the dense formula does
         joint = [w[0] / size]
         step = joint[0]
         for wi, node in zip(w[1:], path):
-            term = wi * ((rows[node].get(a, 0) + 0.5) / (totals[node] + half))
+            term = wi * ((rows[node].get(a, 0) + 0.5) / dens[node])
             joint.append(term)
             step += term
         for wi in w[len(path) + 1:]:
@@ -305,21 +290,30 @@ class MixtureEstimator:
         for node in path:
             row = rows[node]
             row[a] = row.get(a, 0) + 1
-            totals[node] += 1.0
+            dens[node] += 1.0
         # contexts first completed or first seen now get their nodes
         node = path[-1]
-        for s in reversed(self._hist[:len(self._hist) - len(path) + 1]):
-            self._child[(node, s)] = node = len(rows)
+        for s in reversed(hist[:len(hist) - len(path) + 1]):
+            child[(node, s)] = node = len(rows)
             rows.append({a: 1})
-            totals.append(1.0)
-        self._hist.append(a)
-        if len(self._hist) > self.max_explicit_order:
-            del self._hist[0]
+            dens.append(1.0 + size / 2.0)
+        hist.append(a)
+        if len(hist) > self.max_explicit_order:
+            del hist[0]
         self._pos += 1
-        self._max_sample_length = max(self._max_sample_length, self._pos)
+        self.truncated = self.truncated or self._pos > self.max_explicit_order + 1
+        # the context path of the next symbol, walked once per symbol
+        node, path = 0, [0]
+        for s in reversed(hist):
+            node = child.get((node, s))
+            if node is None:
+                break
+            path.append(node)
+        self._path = path
 
     def new_sample(self) -> None:
         self._hist = []
+        self._path = [0]
         self._pos = 0
 
     def consume(self, x) -> "MixtureEstimator":
@@ -628,13 +622,14 @@ class MarkovSource:
                         f"line {lineno}: alphabet and order must come first"
                     )
                 if order == 0:
-                    ctx_token, probs = "", parts
+                    ctx, probs = (), parts
                 else:
-                    ctx_token, probs = parts[0], parts[1:]
-                if len(ctx_token) != order:
+                    # a digit string, or comma-separated indices past 10 symbols
+                    token, probs = parts[0], parts[1:]
+                    ctx = tuple(int(c) for c in (token.split(",") if size > 10 else token))
+                if len(ctx) != order:
                     raise ValueError(f"line {lineno}: context must have {order} symbols")
-                ctx = tuple(int(c) for c in ctx_token)
-                if any(c >= size for c in ctx):
+                if any(not 0 <= c < size for c in ctx):
                     raise ValueError(f"line {lineno}: context symbol out of range")
                 if len(probs) != size:
                     raise ValueError(f"line {lineno}: expected {size} probabilities")
@@ -659,13 +654,9 @@ class MarkovSource:
         if self.order:
             lines.append("initial " + " ".join(repr(float(p)) for p in self.initial))
         size = self.alphabet.size
+        sep = "," if size > 10 else ""  # contexts of larger alphabets: "10,3"
         for v in range(size ** self.order):
-            digits = []
-            rem = v
-            for _ in range(self.order):
-                digits.append(str(rem % size))
-                rem //= size
-            ctx = "".join(reversed(digits))
+            ctx = sep.join(str(s) for s in np.unravel_index(v, [size] * self.order))
             probs = " ".join(repr(float(p)) for p in self.table[v])
             lines.append(f"{ctx} {probs}" if ctx else probs)
         return "\n".join(lines) + "\n"

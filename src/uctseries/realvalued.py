@@ -314,7 +314,8 @@ def event_probability(intervals, history, lower: float, upper: float,
     """Probability of a finite union of disjoint intervals under the
     conditional.
 
-    The conditional density is piecewise constant on the finest cells, so
+    Intervals may touch but not overlap; empty ones are ignored.  The
+    conditional density is piecewise constant on the finest cells, so
     the integral is an exact sum of cell overlaps.
     """
     pairs = [(float(lo), float(hi)) for lo, hi in intervals]
@@ -323,11 +324,12 @@ def event_probability(intervals, history, lower: float, upper: float,
             raise ValueError(f"malformed interval ({lo}, {hi})")
         if lo < lower or hi > upper:
             raise DomainError("interval extends outside the domain")
+    spans = sorted(pair for pair in pairs if pair[0] < pair[1])
+    for prev, cur in zip(spans, spans[1:]):
+        if cur[0] < prev[1]:
+            raise ValueError(f"intervals {prev} and {cur} overlap")
     cond = _history_estimator(history, lower, upper, max_depth).conditional()
-    total = 0.0
-    for lo, hi in pairs:
-        total += cond.integral(lo, hi)
-    return total
+    return sum(cond.integral(lo, hi) for lo, hi in pairs)
 
 
 def expectation(f_breakpoints, f_values, history, lower: float, upper: float,

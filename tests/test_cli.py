@@ -404,6 +404,7 @@ class TestMonteCarloCommand:
     # depths past realvalued.MAX_DEPTH, where the context terms lose precision
     ["density", "--in", DATA / "uniform_reals.csv", "--domain", "0:1", "--depth", "21"],
     ["montecarlo", "--test", "partition-si", "--depth", "21"],
+    ["montecarlo", "--test", "bogus"],
 ])
 def test_out_of_range_option_is_usage_error(capsys, argv):
     code, rep, err = run(capsys, *argv)

@@ -436,17 +436,21 @@ def _model_pair(alphabet, kind, order):
 
 def _assert_same_bits(alphabet, samples, kind, order):
     """== on the conditionals before every step, log2prob after every
-    step, and the arithmetic payload."""
+    step, and the arithmetic payload; `truncated` after every step says
+    whether some sample so far is longer than order + 1."""
     model, oracle = _model_pair(alphabet, kind, order)
+    longest = 0
     for j, sample in enumerate(samples):
         if j:
             model.new_sample()
             oracle.new_sample()
-        for a in sample:
+        for t, a in enumerate(sample, start=1):
             assert model.conditional_probs().tolist() == oracle.conditional_probs().tolist()
             model.append(a)
             oracle.append(a)
             assert model.log2prob == oracle.log2prob
+            longest = max(longest, t)
+            assert model.truncated == (longest > order + 1)
     assert model.conditional_probs().tolist() == oracle.conditional_probs().tolist()
     seqs = [SymbolSeq(alphabet, s) for s in samples]
     x = seqs[0] if len(seqs) == 1 else MultiSample(seqs)
@@ -586,11 +590,15 @@ class TestMarkovSource:
         flips = np.mean(a[1:] != a[:-1])
         assert flips == pytest.approx(0.1, abs=0.05)
 
-    def test_text_round_trip(self):
-        src = MarkovSource(BINARY, 1, [[0.25, 0.75], [0.5, 0.5]])
+    @pytest.mark.parametrize("size,order", [(2, 1), (12, 1), (12, 2)])
+    def test_text_round_trip(self, size, order):
+        # past 10 symbols a context is written as comma-separated indices
+        table = np.random.default_rng(size + order).dirichlet(
+            np.ones(size), size=size ** order)
+        src = MarkovSource(Alphabet.of_size(size), order, table)
         again = MarkovSource.from_text(src.to_text())
         assert np.allclose(src.table, again.table)
-        assert again.order == 1
+        assert again.order == order
 
     def test_text_round_trip_preserves_initial(self):
         src = MarkovSource(BINARY, 1, [[0.25, 0.75], [0.5, 0.5]],

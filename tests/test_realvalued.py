@@ -270,6 +270,20 @@ class TestEventProbability:
         with pytest.raises(ValueError):
             event_probability([(0.7, 0.2)], [0.5], 0.0, 1.0)
 
+    @pytest.mark.parametrize("intervals", [
+        [(-1.0, 1.0), (-1.0, 1.0)],
+        [(0.5, 0.9), (-0.5, 0.0), (0.2, 0.6)],
+    ])
+    def test_overlapping_intervals_rejected(self, intervals):
+        # checked before the history (here out of the domain) is replayed
+        with pytest.raises(ValueError, match="overlap"):
+            event_probability(intervals, [5.0], -1.0, 1.0)
+
+    def test_touching_and_empty_intervals_allowed(self):
+        h = [0.1, -0.4, 0.7]
+        whole = event_probability([(-1.0, 0.25), (0.3, 0.3), (0.25, 1.0)], h, -1.0, 1.0)
+        assert whole == pytest.approx(1.0, abs=1e-12)
+
     def test_outside_domain_interval(self):
         with pytest.raises(DomainError):
             event_probability([(0.5, 1.5)], [0.5], 0.0, 1.0)
