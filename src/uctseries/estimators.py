@@ -153,7 +153,8 @@ def kt_log2prob(x, m: int) -> LogProb:
     alphabet, samples = as_sample_arrays(x)
     size = alphabet.size
     counts = window_counts(x, m)
-    prefix_bits = sum(min(m, arr.size) for arr in samples) * math.log2(size)
+    lengths = np.array([arr.size for arr in samples], dtype=np.int64)
+    prefix_bits = int(np.minimum(lengths, m).sum()) * math.log2(size)
     pair, ctx = counts.pair, counts.context
     num = _lgamma_counts(pair, 0.5).sum() - pair.size * math.lgamma(0.5)
     den = _lgamma_counts(ctx, size / 2.0).sum() - ctx.size * math.lgamma(size / 2.0)
@@ -604,38 +605,52 @@ class MarkovSource:
     def from_text(cls, text: str) -> "MarkovSource":
         size = order = None
         rows: list[tuple[tuple, np.ndarray]] = []
-        initial = None
+        initial = initial_line = None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if parts[0] == "alphabet":
-                size = int(parts[1])
-            elif parts[0] == "order":
-                order = int(parts[1])
-            elif parts[0] == "initial":
-                initial = np.asarray([float(v) for v in parts[1:]])
-            else:
-                if size is None or order is None:
-                    raise ValueError(
-                        f"line {lineno}: alphabet and order must come first"
-                    )
-                if order == 0:
-                    ctx, probs = (), parts
+            key, *values = line.split()
+            try:
+                if key in ("alphabet", "order"):
+                    if len(values) != 1:
+                        raise ValueError(f"{key} takes one integer")
+                    value = int(values[0])
+                    if key == "alphabet":
+                        if value < 1:
+                            raise ValueError("alphabet size must be at least 1")
+                        size = value
+                    else:
+                        if value < 0:
+                            raise ValueError("order must be nonnegative")
+                        order = value
+                elif key == "initial":
+                    initial = np.asarray([float(v) for v in values])
+                    initial_line = lineno
                 else:
-                    # a digit string, or comma-separated indices past 10 symbols
-                    token, probs = parts[0], parts[1:]
-                    ctx = tuple(int(c) for c in (token.split(",") if size > 10 else token))
-                if len(ctx) != order:
-                    raise ValueError(f"line {lineno}: context must have {order} symbols")
-                if any(not 0 <= c < size for c in ctx):
-                    raise ValueError(f"line {lineno}: context symbol out of range")
-                if len(probs) != size:
-                    raise ValueError(f"line {lineno}: expected {size} probabilities")
-                rows.append((ctx, np.asarray([float(v) for v in probs])))
+                    if size is None or order is None:
+                        raise ValueError("alphabet and order must come first")
+                    if order == 0:
+                        ctx, probs = (), [key, *values]
+                    else:
+                        # a digit string, or comma-separated indices past 10 symbols
+                        ctx = tuple(int(c) for c in (key.split(",") if size > 10 else key))
+                        probs = values
+                    if len(ctx) != order:
+                        raise ValueError(f"context must have {order} symbols")
+                    if any(not 0 <= c < size for c in ctx):
+                        raise ValueError("context symbol out of range")
+                    if len(probs) != size:
+                        raise ValueError(f"expected {size} probabilities")
+                    rows.append((ctx, np.asarray([float(v) for v in probs])))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         if size is None or order is None:
             raise ValueError("source file must declare alphabet size and order")
+        if initial is not None and initial.size != size ** order:
+            raise ValueError(
+                f"line {initial_line}: expected {size ** order} initial probabilities"
+            )
         alphabet = Alphabet.of_size(size)
         table = np.full((size ** order, size), np.nan)
         for ctx, probs in rows:

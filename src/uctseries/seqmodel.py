@@ -187,6 +187,9 @@ def _coerce_word(x_alphabet: Alphabet, v) -> np.ndarray:
 
 # Codes stay below this bound, so their int64 arithmetic cannot overflow.
 _CODE_LIMIT = 2 ** 62
+# Windows are counted by a tally, not a sort, when their codes lie below
+# this many times the number of windows.
+_TALLY_RATIO = 2
 
 
 class WindowCounts(NamedTuple):
@@ -208,12 +211,17 @@ def window_counts(x, m: int) -> WindowCounts:
     """Pooled counts of the (m+1)-windows of x, grouped by length-m context.
 
     A window's code is its base-|A| value, so codes sort lexicographically
-    and a window's context code is code // |A|.  Codes are built by
-    Horner's rule over the concatenated samples, one symbol at a time;
-    before a step could pass 2^62, the codes so far are replaced by their
-    dense ranks (the rank renaming of suffix-array construction), which
-    keeps their order, so every alphabet size is counted exactly on the
-    same path.  Windows that straddle a sample boundary are dropped.
+    and a window's context code is code // |A|.  Codes are built over the
+    concatenated samples by prefix doubling, as in suffix-array
+    construction: the codes of the length-L words at i and i + L make the
+    length-2L word at i, and one multiply-add appends a symbol, so order m
+    takes about log2(m) + popcount(m) passes over the data.  Before a step
+    could pass 2^62, the codes so far are replaced by their dense ranks,
+    which keeps their order, so every alphabet size is counted exactly on
+    the same path.  Windows that straddle a sample boundary are dropped by
+    one mask.  Codes below twice the number of windows are counted by a
+    tally (`np.bincount`), larger ones by a sort; both give the distinct
+    windows in ascending order.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
@@ -222,30 +230,60 @@ def window_counts(x, m: int) -> WindowCounts:
 
 
 def _count(samples: list[np.ndarray], size: int, m: int) -> WindowCounts:
-    samples = [arr for arr in samples if arr.size > m]
-    if not samples:
-        empty = np.zeros(0, dtype=np.int64)
-        return WindowCounts(empty, empty, empty, empty, empty)
     flat = samples[0] if len(samples) == 1 else np.concatenate(samples)
     n = flat.size - m  # windows starting at every position, boundaries included
-    codes = flat[:n].astype(np.int64)  # a copy: the steps below work in place
-    bound = size
-    for j in range(1, m + 1):
-        if bound > _CODE_LIMIT // size:
-            ranks, inverse = np.unique(codes, return_inverse=True)
-            codes, bound = inverse.astype(np.int64, copy=False), ranks.size  # intp may be 32-bit
-        codes *= size
-        codes += flat[j:j + n]
-        bound *= size
-    if len(samples) > 1:
-        keep = np.ones(n, dtype=bool)
-        for end in np.cumsum([arr.size for arr in samples[:-1]]):
-            keep[end - m:end] = False  # windows that run into the next sample
-        codes = codes[keep]
-    windows, pair = np.unique(codes, return_counts=True)
+    empty = np.zeros(0, dtype=np.int64)
+    if n <= 0:
+        return WindowCounts(empty, empty, empty, empty, empty)
+    # codes[i] is the code, below `bound`, of the `length` symbols from i.
+    # The length follows the binary digits of m from the top: it doubles
+    # at each further digit and grows by one symbol at each 1, which makes
+    # the length-m contexts; the last step (j = -1) appends the window's
+    # last symbol, so a window's context code is code // size.
+    codes = flat.astype(np.int64)  # the 1-symbol words; a copy, the steps work in place
+    spare = np.empty_like(codes) if m > 1 else None
+    bound, length = size, 1
+    for j in range(int(m).bit_length() - 2, -2, -1):
+        if j >= 0:  # the word at i, then the word at i + length
+            if bound > _CODE_LIMIT // bound:
+                codes, bound = _ranked(codes)
+            k = codes.size - length
+            np.multiply(codes[:k], bound, out=spare[:k])
+            np.add(spare[:k], codes[length:], out=spare[:k])
+            codes, spare = spare[:k], codes
+            bound *= bound
+            length *= 2
+        if j < 0 or m >> j & 1:  # one more symbol
+            if bound > _CODE_LIMIT // size:
+                codes, bound = _ranked(codes)
+            codes = codes[:-1]
+            codes *= size
+            codes += flat[length:]
+            bound *= size
+            length += 1
+    if len(samples) > 1:  # drop the windows that run past their sample's end
+        lengths = np.array([arr.size for arr in samples], dtype=np.int64)
+        tail = np.minimum(lengths, m)  # the last positions, whose windows are cut short
+        keep = np.repeat(np.tile([True, False], len(samples)),
+                         np.column_stack([lengths - tail, tail]).ravel())
+        codes = codes[keep[:n]]
+    if not codes.size:
+        return WindowCounts(empty, empty, empty, empty, empty)
+    if bound <= _TALLY_RATIO * codes.size:
+        tally = np.bincount(codes, minlength=bound)
+        windows = np.flatnonzero(tally)
+        pair = tally[windows]
+    else:
+        windows, pair = np.unique(codes, return_counts=True)
     ctx = windows // size
     starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))
     return WindowCounts(codes, windows, pair, np.add.reduceat(pair, starts), starts)
+
+
+def _ranked(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the codes, which keep their order, and their bound."""
+    ranks, inverse = np.unique(codes, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), ranks.size  # intp may be 32-bit
 
 
 def pair_counts(x, k: int) -> dict[tuple, np.ndarray]:

@@ -200,6 +200,25 @@ class TestIdentityCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("alphabet\norder 0\n0.5 0.5\n", 1),
+        ("alphabet 2\norder\n0.5 0.5\n", 2),
+        ("alphabet 2\norder -1\n0.5 0.5\n", 2),
+        ("alphabet 2\norder 1\nx 0.5 0.5\n1 0.5 0.5\n", 3),
+        ("alphabet 2\norder 1\n0 0.5 0.5\n1 0.5 y\n", 4),
+        ("alphabet 2\norder 1\ninitial\n0 0.5 0.5\n1 0.5 0.5\n", 3),
+    ])
+    def test_malformed_null_is_data_error_naming_the_line(self, capsys, tmp_path,
+                                                          text, line):
+        null = tmp_path / "null.txt"
+        null.write_text(text)
+        code, rep, err = run(capsys, "test-identity", "--in", DATA / "mixed.txt",
+                             "--null", null)
+        assert code == 3 and rep is None
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "data" and f"line {line}:" in error["detail"]
+
 
 class TestIndependenceCommand:
     def test_alternating_rejects(self, capsys):

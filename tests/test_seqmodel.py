@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctseries.seqmodel import (
     Alphabet,
@@ -229,6 +231,62 @@ class TestWindowCountKernel:
                 table = pair_counts(ms, m)
                 assert {ctx + (int(a),): int(row[a]) for ctx, row in table.items()
                         for a in np.flatnonzero(row)} == oracle
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 256, 70000])
+    def test_long_samples_match_brute_force(self, size):
+        # about 3700 symbols over at most four letters: at |A| = 2 and 3 the
+        # tally counts the low orders and the sort the high ones (|A| = 1
+        # only tallies, 70000 only sorts, 256 tallies order 0); at 256 and
+        # 70000 the rank renaming runs inside a doubling step (orders >= 8
+        # and >= 4) and before an added symbol (orders 7 and 3)
+        rng = np.random.default_rng(size + 1)
+        alphabet = Alphabet.of_size(size)
+        letters = np.unique(np.r_[0, size - 1, rng.integers(0, size, size=2)])
+        arrs = [rng.choice(letters, size=n) for n in (2500, 0, 3, 1200)]
+        ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+        samples = [a.tolist() for a in arrs]
+        repeated = [int(letters[0])] * 40
+        for m in (0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 16):
+            counts = window_counts(ms, m)
+            oracle = brute_windows(samples, m + 1)
+            windows = sorted(oracle)
+            assert counts.pair.tolist() == [oracle[w] for w in windows]
+            assert np.isin(counts.codes, counts.windows).all()
+            firsts = [i for i, w in enumerate(windows) if i == 0 or w[:-1] != windows[i - 1][:-1]]
+            assert counts.starts.tolist() == firsts
+            _, grouped = np.unique(counts.windows // size, return_index=True)
+            assert grouped.tolist() == firsts
+            for word in (samples[0][100:101 + m], samples[3][-m - 1:], repeated[:m + 1]):
+                assert count_occurrences(ms, word) == brute_window_count(samples, word)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_property_matches_brute_force(self, data):
+        size = data.draw(st.sampled_from([1, 2, 3, 256, 70000]))
+        # large letters make large codes, which would overflow first
+        letters = [0, size // 2, size - 1] + data.draw(st.lists(st.integers(0, size - 1),
+                                                                max_size=1))
+        samples = data.draw(st.lists(st.lists(st.sampled_from(letters), max_size=40),
+                                     min_size=1, max_size=4))
+        m = data.draw(st.integers(0, 12))
+        alphabet = Alphabet.of_size(size)
+        counts = window_counts(MultiSample([SymbolSeq(alphabet, s) for s in samples]), m)
+        oracle = brute_windows(samples, m + 1)
+        windows = sorted(oracle)
+        assert counts.pair.tolist() == [oracle[w] for w in windows]
+        rank = {w: i for i, w in enumerate(windows)}  # codes come sample after sample
+        assert np.searchsorted(counts.windows, counts.codes).tolist() == [
+            rank[tuple(s[i:i + m + 1])] for s in samples for i in range(len(s) - m)]
+        contexts = {}
+        for w in windows:
+            contexts.setdefault(w[:-1], []).append(oracle[w])
+        assert counts.context.tolist() == [sum(c) for c in contexts.values()]
+        runs = [len(c) for c in contexts.values()]
+        assert counts.starts.tolist() == np.cumsum([0] + runs)[:-1].tolist()
+
+    def test_numpy_integer_order(self):
+        x = multi("0110100", "10")
+        assert window_counts(x, np.int64(5)).pair.tolist() == window_counts(x, 5).pair.tolist()
 
     def test_no_windows(self):
         x = multi("", "01")
