@@ -20,6 +20,7 @@ from .estimators import (
     MonteCarloEstimate,
     PairAlphabet,
     avg_kl_error,
+    final_conditional,
     kt_log2prob,
     laplace_cond_log2prob,
     laplace_log2prob,

@@ -24,7 +24,7 @@ from concurrent import futures
 import numpy as np
 
 from . import coding, estimators, realvalued, testing
-from .estimators import MarkovSource, MixtureEstimator, r_log2prob
+from .estimators import MarkovSource, r_log2prob
 from .seqmodel import Alphabet, MultiSample, SymbolSeq
 
 EXIT_OK = 0
@@ -207,15 +207,14 @@ def cmd_predict(args) -> int:
                 f"(got {len(y)} vs {len(x)})"
             )
         pair = estimators.PairAlphabet(alphabet, y_alphabet)
-        history = list(zip(x.symbols.tolist(), y.symbols.tolist()))
+        history = np.column_stack([x.symbols, y.symbols[:-1]])
         lps = estimators.side_info_cond_log2probs(
             pair, history, int(y.symbols[-1]), args.max_order
         )
         probs = np.exp2(lps)
         report["side_info"] = y_alphabet.labels[int(y.symbols[-1])]
     else:
-        est = MixtureEstimator(alphabet, args.max_order).consume(x)
-        probs = est.conditional_probs()
+        probs, _ = estimators.final_conditional(x, args.max_order)
     report["conditionals"] = {
         alphabet.labels[a]: float(probs[a]) for a in range(alphabet.size)
     }

@@ -24,6 +24,7 @@ from .seqmodel import (
     AlphabetMismatchError,
     MultiSample,
     SymbolSeq,
+    _count,
     as_sample_arrays,
     window_counts,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "MonteCarloEstimate",
     "PairAlphabet",
     "avg_kl_error",
+    "final_conditional",
     "kt_log2prob",
     "laplace_cond_log2prob",
     "laplace_log2prob",
@@ -151,14 +153,20 @@ def kt_log2prob(x, m: int) -> LogProb:
     the rest comes from the pooled window counts through log-gamma.
     """
     alphabet, samples = as_sample_arrays(x)
-    size = alphabet.size
     counts = window_counts(x, m)
     lengths = np.array([arr.size for arr in samples], dtype=np.int64)
-    prefix_bits = int(np.minimum(lengths, m).sum()) * math.log2(size)
-    pair, ctx = counts.pair, counts.context
+    return _kt_bits(counts.pair, counts.context, int(np.minimum(lengths, m).sum()),
+                    alphabet.size)
+
+
+def _kt_bits(pair: np.ndarray, context: np.ndarray, prefix: int, size: int) -> LogProb:
+    """log2 of the add-half probability of pooled window counts: `prefix`
+    letters at 1/|A|, then each context's chain of add-half conditionals,
+    prod_a Gamma(nu(v a) + 1/2) / Gamma(1/2) over
+    Gamma(nu-bar(v) + |A|/2) / Gamma(|A|/2)."""
     num = _lgamma_counts(pair, 0.5).sum() - pair.size * math.lgamma(0.5)
-    den = _lgamma_counts(ctx, size / 2.0).sum() - ctx.size * math.lgamma(size / 2.0)
-    return float(-prefix_bits + (num - den) / _LN2)
+    den = _lgamma_counts(context, size / 2.0).sum() - context.size * math.lgamma(size / 2.0)
+    return float(-(prefix * math.log2(size)) + (num - den) / _LN2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,10 @@ class MixtureEstimator:
     is otherwise the dense formula's sum, taken in the same order
     (uniform tail, orders 0, 1, ...), so the results are bit-identical
     to the dense formula.
+
+    This streaming form serves the coder, which needs a conditional at
+    every step.  For one conditional after a whole history,
+    `final_conditional` reads it from the batch counts without a replay.
     """
 
     def __init__(self, alphabet: Alphabet,
@@ -386,6 +398,63 @@ def r_cond_log2prob(word, x,
     )
 
 
+def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                      ) -> tuple[np.ndarray, LogProb]:
+    """The mixture's next-symbol conditional after x, and log2 R(x).
+
+    The next symbol continues the last sample.  R(a | x) is the sum over
+    orders of the posterior weight w_i K_i(x) / R(x) times the add-half
+    row of x's final order-i context, read from one count per order: the
+    samples plus a probe sample, the last i symbols and then symbol 0.
+    The probe's window is ctx * |A| + 0, so the final context's row is
+    the windows in [code, code + |A|), and removing the probe's count of
+    one leaves the counts of x, hence the same K_i and the same log2 R(x)
+    as r_log2prob.  An order whose context the last sample does not yet
+    hold, and the orders above min(max_explicit_order, longest - 1),
+    which price x at |A|^-t, predict uniformly.  It equals
+    MixtureEstimator(...).consume(x).conditional_probs() without
+    replaying x; the posterior weights come from log-gamma sums, not
+    from the sequential update, so the two differ in the last digits.
+    """
+    if max_explicit_order < 0:
+        raise ValueError("max_explicit_order must be nonnegative")
+    alphabet, samples = as_sample_arrays(x)
+    size = alphabet.size
+    lengths = np.array([arr.size for arr in samples], dtype=np.int64)
+    t = int(lengths.sum())
+    uniform = np.full(size, 1.0 / size)
+    if t == 0:
+        return uniform, 0.0
+    last = samples[-1]
+    explicit = min(max_explicit_order, int(lengths.max()) - 1)
+    terms, rows = [], []
+    for i in range(explicit + 1):
+        if last.size < i:
+            counts = _count(samples, size, i)
+            pair, context, row = counts.pair, counts.context, uniform
+        else:
+            probe = np.append(last[last.size - i:], 0)
+            counts = _count(samples + [probe], size, i)
+            code = counts.codes[-1]
+            lo, hi = np.searchsorted(counts.windows, [code, code + size])
+            pair, context = counts.pair.copy(), counts.context.copy()
+            pair[lo] -= 1
+            context[np.searchsorted(counts.starts, lo)] -= 1  # the context starts at lo
+            row = np.zeros(size)
+            row[counts.windows[lo:hi] - code] = pair[lo:hi]
+            row = (row + 0.5) / (row.sum() + size / 2.0)
+            pair, context = pair[pair > 0], context[context > 0]
+        prefix = int(np.minimum(lengths, i).sum())
+        terms.append(math.log2(order_weight(i + 1)) + _kt_bits(pair, context, prefix, size))
+        rows.append(row)
+    terms.append(math.log2(order_weight_tail(explicit + 2)) - t * math.log2(size))
+    rows.append(uniform)
+    log2prob = log2_sum(terms)
+    weights = np.exp2(np.array(terms) - log2prob)
+    weights /= weights.sum()  # drops the error that log2prob shares with every term
+    return weights @ np.array(rows), log2prob
+
+
 # ---------------------------------------------------------------------------
 # Side information over a product alphabet
 
@@ -412,18 +481,17 @@ def side_info_cond_log2probs(pair_alphabet: PairAlphabet, history, y_next: int,
                              ) -> np.ndarray:
     """log2 conditionals of the next x symbol given paired history and y.
 
-    `history` is an iterable of (x, y) index pairs, fed as the paired
-    codes x*|Y| + y to a fresh mixture over the product alphabet.  The
-    returned vector is normalized over x.
+    `history` holds (x, y) index pairs, an (n, 2) array or a sequence of
+    pairs, read as the paired codes x*|Y| + y over the product alphabet;
+    the mixture's final conditional there (`final_conditional`) gives the
+    joint of the next pair.  The returned vector is normalized over x.
     """
     nx, ny = pair_alphabet.x_alphabet.size, pair_alphabet.y_alphabet.size
-    pairs = np.asarray(list(history), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(history, dtype=np.int64).reshape(-1, 2)
     if ((pairs < 0) | (pairs >= (nx, ny))).any() or not 0 <= y_next < ny:
         raise AlphabetMismatchError("pair component out of range")
-    product = pair_alphabet.product
-    estimator = MixtureEstimator(product, max_explicit_order).consume(
-        SymbolSeq(product, pairs[:, 0] * ny + pairs[:, 1]))
-    column = estimator.conditional_probs()[int(y_next)::ny]
+    codes = SymbolSeq(pair_alphabet.product, pairs[:, 0] * ny + pairs[:, 1])
+    column = final_conditional(codes, max_explicit_order)[0][int(y_next)::ny]
     return np.log2(column / column.sum())
 
 
@@ -455,6 +523,8 @@ class MarkovSource:
             raise ValueError("order must be nonnegative")
         size = alphabet.size
         tbl = np.asarray(table, dtype=float).reshape(size ** self.order, size)
+        if not np.isfinite(tbl).all():
+            raise ValueError("conditional probabilities must be finite")
         if np.any(tbl < 0):
             raise ValueError("conditional probabilities must be nonnegative")
         if np.abs(tbl.sum(axis=1) - 1.0).max() > 1e-9:
@@ -464,7 +534,8 @@ class MarkovSource:
             self.initial = self._stationary()
         else:
             self.initial = np.asarray(initial, dtype=float).reshape(size ** self.order)
-            if abs(self.initial.sum() - 1.0) > 1e-9 or np.any(self.initial < 0):
+            if (not np.isfinite(self.initial).all() or abs(self.initial.sum() - 1.0) > 1e-9
+                    or np.any(self.initial < 0)):
                 raise ValueError("initial distribution must be a probability vector")
 
     # -- construction helpers

@@ -18,6 +18,7 @@ import numpy as np
 
 from .estimators import (
     MixtureEstimator,
+    final_conditional,
     log2_sum,
     order_weight,
     r_log2prob,
@@ -195,6 +196,24 @@ def _depth_log2_terms(finest: Partition, t: int, mus) -> np.ndarray:
     return log2_weights + np.asarray(mus, dtype=float) - t * _log2_cell_volumes(finest)
 
 
+def _conditional_cell_log2densities(finest: Partition, terms, conds) -> np.ndarray:
+    """log2 conditional density on the finest cells: depth s's next-cell
+    log2 conditional conds[s], spread evenly over its cell, weighted by
+    the depth's posterior weight from its log2 term."""
+    weights = terms - log2_sum(terms)
+    cells = finest.cells
+    out = np.full(cells, -math.inf)
+    for s, log2_volume in enumerate(_log2_cell_volumes(finest)):
+        out = np.logaddexp2(out, weights[s] + np.repeat(conds[s], cells >> s)
+                            - log2_volume)
+    return out
+
+
+def _piecewise(finest: Partition, log2_densities) -> PiecewiseConstantDensity:
+    return PiecewiseConstantDensity(tuple(finest.edges().tolist()),
+                                    tuple(np.exp2(log2_densities).tolist()))
+
+
 def _mixture_log2(terms, renormalize: bool) -> float:
     """log2 of the summed depth terms, divided by the weight total when
     renormalizing (the weights alone are a strict sub-probability)."""
@@ -259,22 +278,12 @@ class DensityEstimator:
         conditional, spread evenly over its cell, weighted by the depth's
         posterior weight.
         """
-        terms = self.depth_log2_terms()
-        weights = terms - log2_sum(terms)
         conds = [np.zeros(1)] + [np.log2(est.conditional_probs()) for est in self._estimators]
-        cells = self.partition.cells
-        out = np.full(cells, -math.inf)
-        for s, log2_volume in enumerate(_log2_cell_volumes(self.partition)):
-            out = np.logaddexp2(out, weights[s] + np.repeat(conds[s], cells >> s)
-                                - log2_volume)
-        return out
+        return _conditional_cell_log2densities(self.partition, self.depth_log2_terms(), conds)
 
     def conditional(self) -> PiecewiseConstantDensity:
         """Density of the next value given everything consumed so far."""
-        return PiecewiseConstantDensity(
-            tuple(self.partition.edges().tolist()),
-            tuple(np.exp2(self.conditional_cell_log2densities()).tolist()),
-        )
+        return _piecewise(self.partition, self.conditional_cell_log2densities())
 
 
 def density_log2(values, lower: float, upper: float,
@@ -296,17 +305,35 @@ def density_log2(values, lower: float, upper: float,
     return _mixture_log2(_depth_log2_terms(finest, cells.size, mus), renormalize)
 
 
-def _history_estimator(history, lower, upper, max_depth) -> DensityEstimator:
-    est = DensityEstimator(lower, upper, max_depth)
-    return est if history is None else est.consume(history)
+def _history_conditional(history, lower, upper,
+                         max_depth) -> tuple[Partition, np.ndarray]:
+    """The finest partition and the log2 conditional density on its cells
+    given the history, from the batch counts of each depth.
+
+    Equal to DensityEstimator(...).consume(history) and its
+    conditional_cell_log2densities() up to rounding, without replaying the
+    history: each depth's final_conditional gives its next-cell
+    conditional and its r_log2prob, which sets the depth posterior as in
+    density_log2.
+    """
+    _check_mixture_depth(max_depth)
+    finest = Partition(lower, upper, int(max_depth))
+    cells = finest.cell_index([] if history is None else history)
+    mus, conds = [0.0], [np.zeros(1)]
+    for s in range(1, finest.depth + 1):
+        probs, mu = final_conditional(
+            SymbolSeq(Alphabet.of_size(1 << s), cells >> (finest.depth - s)), _order_cap(s))
+        mus.append(mu)
+        conds.append(np.log2(probs))
+    terms = _depth_log2_terms(finest, cells.size, mus)
+    return finest, _conditional_cell_log2densities(finest, terms, conds)
 
 
 def conditional_density(x_next: float, history, lower: float, upper: float,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> float:
     """log2 conditional density of the next value given the history."""
-    est = _history_estimator(history, lower, upper, max_depth)
-    cell = int(est.partition.cell_index([x_next])[0])
-    return float(est.conditional_cell_log2densities()[cell])
+    finest, log2_densities = _history_conditional(history, lower, upper, max_depth)
+    return float(log2_densities[int(finest.cell_index([x_next])[0])])
 
 
 def event_probability(intervals, history, lower: float, upper: float,
@@ -328,7 +355,7 @@ def event_probability(intervals, history, lower: float, upper: float,
     for prev, cur in zip(spans, spans[1:]):
         if cur[0] < prev[1]:
             raise ValueError(f"intervals {prev} and {cur} overlap")
-    cond = _history_estimator(history, lower, upper, max_depth).conditional()
+    cond = _piecewise(*_history_conditional(history, lower, upper, max_depth))
     return sum(cond.integral(lo, hi) for lo, hi in pairs)
 
 
@@ -351,7 +378,7 @@ def expectation(f_breakpoints, f_values, history, lower: float, upper: float,
         raise ValueError("function table has gaps: it must cover the domain")
     if bound is not None and np.abs(ys).max() > bound + 1e-12:
         raise ValueError("function values exceed the declared bound")
-    cond = _history_estimator(history, lower, upper, max_depth).conditional()
+    cond = _piecewise(*_history_conditional(history, lower, upper, max_depth))
     return cond.expectation(xs, ys)
 
 

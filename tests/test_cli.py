@@ -220,6 +220,17 @@ class TestIdentityCommand:
         assert error["error"] == "data" and f"line {line}:" in error["detail"]
 
 
+    @pytest.mark.parametrize("initial", ["nan nan", "nan 1", "inf -inf"])
+    def test_non_finite_initial_distribution_is_data_error(self, capsys, tmp_path,
+                                                          initial):
+        null = tmp_path / "null.txt"
+        null.write_text(f"alphabet 2\norder 1\ninitial {initial}\n0 0.5 0.5\n1 0.5 0.5\n")
+        code, rep, err = run(capsys, "test-identity", "--in", DATA / "mixed.txt",
+                             "--null", null)
+        assert code == 3 and rep is None
+        assert json.loads(err)["error"] == "data"
+
+
 class TestIndependenceCommand:
     def test_alternating_rejects(self, capsys):
         code, rep, _ = run(

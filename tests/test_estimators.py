@@ -2,6 +2,7 @@ import math
 from itertools import product
 from math import lgamma, log2
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from uctseries.estimators import (
     MixtureEstimator,
     PairAlphabet,
     avg_kl_error,
+    final_conditional,
     kt_log2prob,
     laplace_cond_log2prob,
     laplace_log2prob,
@@ -25,7 +27,13 @@ from uctseries.estimators import (
     r_log2prob,
     side_info_cond_log2probs,
 )
-from uctseries.seqmodel import Alphabet, AlphabetMismatchError, MultiSample, SymbolSeq
+from uctseries.seqmodel import (
+    Alphabet,
+    AlphabetMismatchError,
+    MultiSample,
+    SymbolSeq,
+    window_counts,
+)
 
 BINARY = Alphabet.of_size(2)
 
@@ -489,6 +497,122 @@ class TestSparseStepMatchesDenseOracle:
         _assert_same_bits(Alphabet.of_size(size), samples, kind, order)
 
 
+def _as_x(alphabet, samples):
+    seqs = [SymbolSeq(alphabet, s) for s in samples]
+    return seqs[0] if len(seqs) == 1 else MultiSample(seqs)
+
+
+@st.composite
+def _final_cases(draw):
+    """(x, max_explicit_order): multi-samples whose last sample may be
+    empty or hold one symbol, and orders of 0, below the longest sample
+    and above it."""
+    size = draw(st.sampled_from([1, 2, 3, 256]))
+    letters = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 7, 30, 80]), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        lengths.append(draw(st.sampled_from([0, 1])))
+    samples = [draw(st.lists(st.sampled_from(letters), min_size=t, max_size=t))
+               for t in lengths]
+    longest = max(lengths)
+    order = draw(st.sampled_from([0, max(longest // 2, 1), longest + 2]))
+    return _as_x(Alphabet.of_size(size), samples), order
+
+
+class TestFinalConditional:
+    """The batch conditional against the sequential mixture and an exact oracle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_final_cases())
+    def test_matches_sequential_mixture(self, case):
+        x, order = case
+        probs, log2prob = final_conditional(x, order)
+        sequential = MixtureEstimator(x.alphabet, order).consume(x).conditional_probs()
+        np.testing.assert_allclose(probs, sequential, rtol=1e-9, atol=0)
+        assert log2prob == r_log2prob(x, order)
+
+    @pytest.mark.parametrize("size", [2, 3, 256])
+    def test_matches_sequential_on_long_input(self, size):
+        rng = np.random.default_rng(size)
+        probs = rng.dirichlet(np.full(size, 0.3))
+        x = _as_x(Alphabet.of_size(size),
+                  [rng.choice(size, size=n, p=probs) for n in (3000, 0, 500)])
+        batch, log2prob = final_conditional(x)
+        sequential = MixtureEstimator(x.alphabet).consume(x).conditional_probs()
+        np.testing.assert_allclose(batch, sequential, rtol=1e-9, atol=0)
+        assert log2prob == r_log2prob(x)
+
+    def test_empty_input_is_uniform(self):
+        probs, log2prob = final_conditional(MultiSample([seq(""), seq("")]))
+        assert probs.tolist() == [0.5, 0.5] and log2prob == 0.0
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            final_conditional(seq("01"), -1)
+
+
+def _exact_log_r(x, max_explicit_order):
+    """Natural log of R(x) at the working mpmath precision, from the
+    integer window counts: each order's add-half product through
+    loggamma, the orders above min(max_explicit_order, longest - 1)
+    lumped into the uniform tail."""
+    alphabet, samples = x.alphabet, [x] if isinstance(x, SymbolSeq) else x.samples
+    size = alphabet.size
+    lengths = [len(s) for s in samples]
+    explicit = min(max_explicit_order, max(lengths) - 1)
+    half, base = mpmath.mpf(1) / 2, mpmath.mpf(size) / 2
+
+    def log_gamma_ratios(counts, offset):
+        values, mult = np.unique(counts, return_counts=True)
+        return mpmath.fsum(int(k) * (mpmath.loggamma(int(c) + offset) - mpmath.loggamma(offset))
+                           for c, k in zip(values, mult))
+
+    terms = []
+    for i in range(explicit + 1):
+        counts = window_counts(x, i)
+        weight = 1 - 1 / mpmath.log(3, 2) if i == 0 else (
+            1 / mpmath.log(i + 2, 2) - 1 / mpmath.log(i + 3, 2))
+        terms.append(mpmath.log(weight)
+                     - sum(min(t, i) for t in lengths) * mpmath.log(size)
+                     + log_gamma_ratios(counts.pair, half)
+                     - log_gamma_ratios(counts.context, base))
+    terms.append(-mpmath.log(mpmath.log(explicit + 3, 2)) - sum(lengths) * mpmath.log(size))
+    top = max(terms)
+    return top + mpmath.log(mpmath.fsum(mpmath.exp(v - top) for v in terms))
+
+
+def _extend_last(x, a):
+    if isinstance(x, SymbolSeq):
+        return x.extended([a])
+    return MultiSample(x.samples[:-1] + [x.samples[-1].extended([a])])
+
+
+class TestFinalConditionalExactOracle:
+    """R(a | x) = R(x a) / R(x) at 40 digits.  At |A| = 256 a subset of
+    symbols is checked: the eight likeliest and four at random."""
+
+    @pytest.mark.parametrize("size", [2, 3, 256])
+    @pytest.mark.parametrize("lengths,concentration", [
+        ((2000,), 0.5), ((300, 1200, 0), 0.5), ((40, 1), 0.5),
+        # near-uniform: at |A| = 256 the batch context terms cancel most here
+        ((500,), 3.0),
+    ])
+    def test_batch_and_sequential_within_bounds(self, size, lengths, concentration):
+        rng = np.random.default_rng(size * 7 + len(lengths))
+        probs = rng.dirichlet(np.full(size, concentration))
+        x = _as_x(Alphabet.of_size(size), [rng.choice(size, size=n, p=probs) for n in lengths])
+        batch, _ = final_conditional(x)
+        sequential = MixtureEstimator(x.alphabet).consume(x).conditional_probs()
+        symbols = range(size) if size <= 3 else sorted(
+            set(np.argsort(sequential)[-8:].tolist()) | set(rng.choice(size, size=4).tolist()))
+        with mpmath.workdps(40):
+            log_r = _exact_log_r(x, 16)
+            for a in symbols:
+                exact = mpmath.exp(_exact_log_r(_extend_last(x, a), 16) - log_r)
+                assert abs(batch[a] - exact) / exact < 1e-10
+                assert abs(sequential[a] - exact) / exact < 1e-13
+
+
 def test_peak_memory_of_large_alphabet_stays_small(child_peak_kib):
     # one sparse row per context node: 2e4 uniform symbols over 256
     # letters create about 3e5 nodes; dense |A|-float rows needed 1.1 GB
@@ -539,6 +663,21 @@ class TestSideInformation:
         )
         assert np.exp2(lps) == pytest.approx(joint / joint.sum(), abs=1e-12)
 
+    @pytest.mark.parametrize("ny", [1, 3])
+    def test_matches_sequential_mixture(self, ny):
+        rng = np.random.default_rng(ny)
+        pair = PairAlphabet(Alphabet.of_size(3), Alphabet.of_size(ny))
+        for n in (0, 1, 5, 400):
+            x, y = rng.integers(0, 3, n), rng.integers(0, ny, n + 1)
+            for order in (0, 2, 16):
+                lps = side_info_cond_log2probs(pair, np.column_stack([x, y[:-1]]),
+                                               int(y[-1]), order)
+                codes = SymbolSeq(pair.product, x * ny + y[:-1])
+                joint = MixtureEstimator(pair.product, order).consume(
+                    codes).conditional_probs()[int(y[-1])::ny]
+                np.testing.assert_allclose(np.exp2(lps), joint / joint.sum(),
+                                           rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("history,y_next", [
         ([(2, 0)], 0), ([(0, 3)], 1), ([(1, 1), (-1, 0)], 1), ([(0, 1)], 3), ([], -1),
     ])
@@ -552,6 +691,17 @@ class TestMarkovSource:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
             MarkovSource(BINARY, 0, [[0.6, 0.3]])
+
+    @pytest.mark.parametrize("table,initial", [
+        ([[math.nan, math.nan]], None),
+        ([[math.nan, 1.0]], None),
+        ([[0.5, 0.5], [0.5, 0.5]], [math.nan, math.nan]),
+        ([[0.5, 0.5], [0.5, 0.5]], [math.nan, 1.0]),
+    ])
+    def test_non_finite_parameters_rejected(self, table, initial):
+        order = 0 if initial is None else 1
+        with pytest.raises(ValueError, match="finite|probability"):
+            MarkovSource(BINARY, order, table, initial=initial)
 
     def test_iid_log2prob(self):
         src = MarkovSource.iid(BINARY, [0.7, 0.3])

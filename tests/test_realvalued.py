@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uctseries import realvalued
 from uctseries.estimators import order_weight
 from uctseries.realvalued import (
     MAX_DEPTH,
@@ -247,6 +248,35 @@ class TestConditionalDensity:
         est = DensityEstimator(-1.0, 1.0, max_depth=3).consume(hist)
         p_neg = est.conditional().integral(-1.0, 0.0)
         assert p_neg == pytest.approx(0.9, abs=0.05)
+
+
+class TestBatchConditionalMatchesSequential:
+    """conditional_density, event_probability and expectation read the
+    batch counts; DensityEstimator replays the history."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 8])
+    @pytest.mark.parametrize("t", [0, 30, 1000])
+    def test_cell_densities_and_integrals(self, depth, t):
+        hist = sign_process_generate(0.4, t, seed=depth + 1)[:t]
+        est = DensityEstimator(-1.0, 1.0, max_depth=depth).consume(hist)
+        finest, batch = realvalued._history_conditional(hist, -1.0, 1.0, depth)
+        assert finest == est.partition
+        np.testing.assert_allclose(batch, est.conditional_cell_log2densities(),
+                                   rtol=0, atol=1e-9)
+        cond = est.conditional()
+        for lo, hi in [(-1.0, -0.3), (0.1, 0.8)]:
+            assert event_probability([(lo, hi)], hist, -1.0, 1.0, depth) == pytest.approx(
+                cond.integral(lo, hi), rel=1e-9)
+        xs, ys = [-1.0, 0.0, 1.0], [2.0, -1.0, 3.0]
+        assert expectation(xs, ys, hist, -1.0, 1.0, depth) == pytest.approx(
+            cond.expectation(xs, ys), rel=1e-9)
+        assert conditional_density(0.55, hist, -1.0, 1.0, depth) == pytest.approx(
+            float(est.conditional_cell_log2densities()[finest.cell_index([0.55])[0]]),
+            abs=1e-9)
+
+    def test_none_history_is_empty(self):
+        assert (realvalued._history_conditional(None, 0.0, 1.0, 3)[1].tolist()
+                == realvalued._history_conditional([], 0.0, 1.0, 3)[1].tolist())
 
 
 class TestEventProbability:
