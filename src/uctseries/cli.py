@@ -170,7 +170,11 @@ def _emit(report: dict, args, to_stdout: bool = False) -> None:
 
 def cmd_estimate(args) -> int:
     x, alphabet = _read_symbols(args.input, _parse_alphabet(args.alphabet))
-    lp = r_log2prob(x, args.max_order)
+    if args.query is None:
+        lp = r_log2prob(x, args.max_order)
+    else:  # one count per order, of x with the word: x is counted once
+        word = _parse_word(args.query, alphabet)
+        lp, query_lp = estimators._r_log2prob_pair(x, word, args.max_order)
     lengths = [len(s) for s in x.samples] if isinstance(x, MultiSample) else [len(x)]
     report = {
         "command": "estimate",
@@ -181,9 +185,7 @@ def cmd_estimate(args) -> int:
         "prob": float(2.0 ** lp),
     }
     if args.query is not None:
-        word = _parse_word(args.query, alphabet)
-        # r_cond_log2prob's own difference, reusing lp so that x is counted once
-        clp = r_log2prob(x.extended(word), args.max_order) - lp
+        clp = query_lp - lp  # r_cond_log2prob's difference
         report["query"] = {
             "word": args.query,
             "log2_prob": clp,

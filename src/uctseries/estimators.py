@@ -24,6 +24,7 @@ from .seqmodel import (
     AlphabetMismatchError,
     MultiSample,
     SymbolSeq,
+    WindowCounts,
     _count,
     as_sample_arrays,
     window_counts,
@@ -167,6 +168,23 @@ def _kt_bits(pair: np.ndarray, context: np.ndarray, prefix: int, size: int) -> L
     num = _lgamma_counts(pair, 0.5).sum() - pair.size * math.lgamma(0.5)
     den = _lgamma_counts(context, size / 2.0).sum() - context.size * math.lgamma(size / 2.0)
     return float(-(prefix * math.log2(size)) + (num - den) / _LN2)
+
+
+def _leading_counts(counts: WindowCounts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair and context counts of the first n windows of `counts`.
+
+    The windows after them, those of samples appended last, are taken
+    out of their pair and context counts, and the counts left at zero
+    dropped, so the arrays are those window_counts gives without the
+    appended samples.
+    """
+    if n == counts.codes.size:  # nothing appended holds a window of this order
+        return counts.pair, counts.context
+    pair, context = counts.pair.copy(), counts.context.copy()
+    extra = np.searchsorted(counts.windows, counts.codes[n:])
+    np.subtract.at(pair, extra, 1)
+    np.subtract.at(context, np.searchsorted(counts.starts, extra, "right") - 1, 1)
+    return pair[pair > 0], context[context > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +408,49 @@ def r_cond_log2prob(word, x,
     """log2 of the mixture conditional probability of `word` given x.
 
     For a plain sequence the word extends it; for a multi-sample the word
-    is evaluated as an additional independent sample.
+    is evaluated as an additional independent sample.  x is counted once,
+    inside the extension (`_r_log2prob_pair`), and the result is == to
+    r_log2prob(x.extended(word)) - r_log2prob(x).
     """
-    word = np.atleast_1d(np.asarray(word, dtype=np.int64))
-    return r_log2prob(x.extended(word), max_explicit_order) - r_log2prob(
-        x, max_explicit_order
-    )
+    log2prob, extended = _r_log2prob_pair(x, word, max_explicit_order)
+    return extended - log2prob
+
+
+def _r_log2prob_pair(x, word, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                     ) -> tuple[LogProb, LogProb]:
+    """log2 R(x) and log2 R(x.extended(word)) from one count per order.
+
+    Each order is counted once, on the extension's samples, which prices
+    K_i of the extension.  x's windows come first in the counts' codes and
+    the word's windows after them, so taking those out (`_leading_counts`)
+    leaves x's counts, hence its K_i.  Both values are == to r_log2prob's.
+    """
+    if max_explicit_order < 0:
+        raise ValueError("max_explicit_order must be nonnegative")
+    alphabet, samples = as_sample_arrays(x)
+    _, ext_samples = as_sample_arrays(x.extended(word))
+    size = alphabet.size
+    lengths = np.array([arr.size for arr in samples], dtype=np.int64)
+    ext_lengths = np.array([arr.size for arr in ext_samples], dtype=np.int64)
+    explicit = min(max_explicit_order, int(lengths.max()) - 1)
+    ext_explicit = min(max_explicit_order, int(ext_lengths.max()) - 1)
+    terms, ext_terms = [], []
+    for i in range(ext_explicit + 1):
+        counts = _count(ext_samples, size, i)
+        log2w = math.log2(order_weight(i + 1))
+        ext_prefix = int(np.minimum(ext_lengths, i).sum())
+        ext_terms.append(log2w + _kt_bits(counts.pair, counts.context, ext_prefix, size))
+        if i <= explicit:
+            pair, context = _leading_counts(counts, int(np.maximum(lengths - i, 0).sum()))
+            prefix = int(np.minimum(lengths, i).sum())
+            terms.append(log2w + _kt_bits(pair, context, prefix, size))
+
+    def total(terms, explicit, t):  # r_log2prob's sum, with its uniform tail
+        tail = math.log2(order_weight_tail(explicit + 2)) - t * math.log2(size)
+        return log2_sum(terms + [tail]) if t else 0.0
+
+    return (total(terms, explicit, int(lengths.sum())),
+            total(ext_terms, ext_explicit, int(ext_lengths.sum())))
 
 
 def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
@@ -437,13 +492,11 @@ def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
             counts = _count(samples + [probe], size, i)
             code = counts.codes[-1]
             lo, hi = np.searchsorted(counts.windows, [code, code + size])
-            pair, context = counts.pair.copy(), counts.context.copy()
-            pair[lo] -= 1
-            context[np.searchsorted(counts.starts, lo)] -= 1  # the context starts at lo
             row = np.zeros(size)
-            row[counts.windows[lo:hi] - code] = pair[lo:hi]
+            row[counts.windows[lo:hi] - code] = counts.pair[lo:hi]
+            row[0] -= 1  # the probe's own window, code = ctx * |A| + 0
             row = (row + 0.5) / (row.sum() + size / 2.0)
-            pair, context = pair[pair > 0], context[context > 0]
+            pair, context = _leading_counts(counts, counts.codes.size - 1)
         prefix = int(np.minimum(lengths, i).sum())
         terms.append(math.log2(order_weight(i + 1)) + _kt_bits(pair, context, prefix, size))
         rows.append(row)
@@ -506,6 +559,25 @@ def _ctx_index(ctx, size: int) -> int:
     return idx
 
 
+def _checked_rows(table: np.ndarray) -> np.ndarray:
+    """`table` if each row (its last axis) is a probability vector, within 1e-9."""
+    if not np.isfinite(table).all():
+        raise ValueError("conditional probabilities must be finite")
+    if np.any(table < 0):
+        raise ValueError("conditional probabilities must be nonnegative")
+    if np.abs(table.sum(axis=-1) - 1.0).max() > 1e-9:
+        raise ValueError("conditional table rows must sum to 1 (tol 1e-9)")
+    return table
+
+
+def _checked_initial(initial: np.ndarray) -> np.ndarray:
+    """`initial` if it is a probability vector, within 1e-9."""
+    if (not np.isfinite(initial).all() or abs(initial.sum() - 1.0) > 1e-9
+            or np.any(initial < 0)):
+        raise ValueError("initial distribution must be a probability vector")
+    return initial
+
+
 class MarkovSource:
     """A fully specified source of finite Markov order over a finite alphabet.
 
@@ -522,21 +594,13 @@ class MarkovSource:
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         size = alphabet.size
-        tbl = np.asarray(table, dtype=float).reshape(size ** self.order, size)
-        if not np.isfinite(tbl).all():
-            raise ValueError("conditional probabilities must be finite")
-        if np.any(tbl < 0):
-            raise ValueError("conditional probabilities must be nonnegative")
-        if np.abs(tbl.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("conditional table rows must sum to 1 (tol 1e-9)")
-        self.table = tbl
+        self.table = _checked_rows(np.asarray(table, dtype=float)
+                                   .reshape(size ** self.order, size))
         if initial is None:
             self.initial = self._stationary()
         else:
-            self.initial = np.asarray(initial, dtype=float).reshape(size ** self.order)
-            if (not np.isfinite(self.initial).all() or abs(self.initial.sum() - 1.0) > 1e-9
-                    or np.any(self.initial < 0)):
-                raise ValueError("initial distribution must be a probability vector")
+            self.initial = _checked_initial(np.asarray(initial, dtype=float)
+                                            .reshape(size ** self.order))
 
     # -- construction helpers
 
@@ -713,15 +777,18 @@ class MarkovSource:
                         raise ValueError("context symbol out of range")
                     if len(probs) != size:
                         raise ValueError(f"expected {size} probabilities")
-                    rows.append((ctx, np.asarray([float(v) for v in probs])))
+                    rows.append((ctx, _checked_rows(np.asarray([float(v) for v in probs]))))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         if size is None or order is None:
             raise ValueError("source file must declare alphabet size and order")
-        if initial is not None and initial.size != size ** order:
-            raise ValueError(
-                f"line {initial_line}: expected {size ** order} initial probabilities"
-            )
+        if initial is not None:
+            try:
+                if initial.size != size ** order:
+                    raise ValueError(f"expected {size ** order} initial probabilities")
+                _checked_initial(initial)
+            except ValueError as exc:
+                raise ValueError(f"line {initial_line}: {exc}") from None
         alphabet = Alphabet.of_size(size)
         table = np.full((size ** order, size), np.nan)
         for ctx, probs in rows:

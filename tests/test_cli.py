@@ -207,6 +207,12 @@ class TestIdentityCommand:
         ("alphabet 2\norder 1\nx 0.5 0.5\n1 0.5 0.5\n", 3),
         ("alphabet 2\norder 1\n0 0.5 0.5\n1 0.5 y\n", 4),
         ("alphabet 2\norder 1\ninitial\n0 0.5 0.5\n1 0.5 0.5\n", 3),
+        # probabilities that parse but make no distribution
+        ("alphabet 2\norder 1\ninitial nan nan\n0 0.5 0.5\n1 0.5 0.5\n", 3),
+        ("alphabet 2\norder 1\ninitial 0.5 0.6\n0 0.5 0.5\n1 0.5 0.5\n", 3),
+        ("alphabet 2\norder 1\n0 0.5 0.6\n1 0.5 0.5\n", 3),
+        ("alphabet 2\norder 1\n0 0.5 0.5\n1 -0.5 1.5\n", 4),
+        ("alphabet 2\norder 0\n# a comment\nnan 1\n", 4),
     ])
     def test_malformed_null_is_data_error_naming_the_line(self, capsys, tmp_path,
                                                           text, line):

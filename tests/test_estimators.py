@@ -1,6 +1,8 @@
+import json
 import math
 from itertools import product
 from math import lgamma, log2
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctseries import estimators
+from uctseries import cli, estimators, seqmodel
 from uctseries.coding import arithmetic_encode
 from uctseries.estimators import (
     KtState,
@@ -611,6 +613,56 @@ class TestFinalConditionalExactOracle:
                 exact = mpmath.exp(_exact_log_r(_extend_last(x, a), 16) - log_r)
                 assert abs(batch[a] - exact) / exact < 1e-10
                 assert abs(sequential[a] - exact) / exact < 1e-13
+
+
+class TestLog2ProbPair:
+    """log2 R(x) and log2 R(x ⊕ word) from one count per order against two
+    r_log2prob calls, the definition r_cond_log2prob had before."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 256])
+    @pytest.mark.parametrize("order", [0, 2, 16])
+    @pytest.mark.parametrize("lengths,word_length", [
+        ((30,), 3), ((0,), 2), ((1,), 0), ((9,), 25),
+        # multi-samples with empty and one-symbol samples
+        ((7, 0, 1), 3), ((0, 1), 1), ((0, 0), 0), ((40, 1, 0), 0),
+        ((5, 1, 0), 12),  # a word longer than every sample
+    ])
+    def test_equals_two_r_log2prob_calls(self, size, order, lengths, word_length):
+        rng = np.random.default_rng(size * 100 + order * 10 + sum(lengths) + word_length)
+        # few letters, so the word's windows also occur in x
+        letters = rng.choice(size, size=min(size, 3), replace=False)
+        samples = [rng.choice(letters, size=n) for n in lengths]
+        x = _as_x(Alphabet.of_size(size), samples)
+        if len(samples) == 1 and word_length % 2:  # a one-sample MultiSample too
+            x = MultiSample([x])
+        word = rng.choice(letters, size=word_length)
+        pair = estimators._r_log2prob_pair(x, word, order)
+        assert pair == (r_log2prob(x, order), r_log2prob(x.extended(word), order))
+        assert r_cond_log2prob(word, x, order) == (
+            r_log2prob(x.extended(word), order) - r_log2prob(x, order))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            estimators._r_log2prob_pair(seq("01"), [0], -1)
+
+    @pytest.mark.parametrize("argv,orders", [
+        (["mixed.txt", "--query", "0110"], 17),
+        (["two_samples.txt", "--query", "01101", "--max-order", "1"], 2),
+    ])
+    def test_estimate_query_counts_once_per_order(self, monkeypatch, capsys, argv, orders):
+        counted = []
+
+        def counting(samples, size, m):
+            counted.append(m)
+            return seqmodel_count(samples, size, m)
+
+        seqmodel_count = seqmodel._count
+        monkeypatch.setattr(estimators, "_count", counting)
+        monkeypatch.setattr(seqmodel, "_count", counting)
+        data = Path(__file__).parent / "data" / argv[0]
+        assert cli.main(["estimate", "--in", str(data), *argv[1:]]) == 0
+        assert json.loads(capsys.readouterr().out)["query"]["word"] == argv[2]
+        assert counted == list(range(orders))
 
 
 def test_peak_memory_of_large_alphabet_stays_small(child_peak_kib):

@@ -34,6 +34,10 @@ CASES = {
     "estimate_query_mixed": (["estimate", "--in", "mixed.txt", "--query", "0110"], 0),
     "estimate_query_two_samples": (
         ["estimate", "--in", "two_samples.txt", "--query", "01"], 0),
+    "estimate_query_two_samples_long_word": (
+        ["estimate", "--in", "two_samples.txt", "--query", "01101"], 0),
+    "estimate_query_two_samples_long_word_order1": (
+        ["estimate", "--in", "two_samples.txt", "--query", "01101", "--max-order", "1"], 0),
     "independence_mixed": (
         ["test-independence", "--order", "1", "--in", "mixed.txt"], 0),
     "independence_alternating": (
