@@ -153,38 +153,48 @@ def kt_log2prob(x, m: int) -> LogProb:
     The first min(m, t_i) letters of every sample are priced at 1/|A|;
     the rest comes from the pooled window counts through log-gamma.
     """
-    alphabet, samples = as_sample_arrays(x)
+    size, _, lengths = _sample_arrays(x)
     counts = window_counts(x, m)
-    lengths = np.array([arr.size for arr in samples], dtype=np.int64)
-    return _kt_bits(counts.pair, counts.context, int(np.minimum(lengths, m).sum()),
-                    alphabet.size)
+    return _kt_bits(counts.pair, counts.context, lengths, m, size)
 
 
-def _kt_bits(pair: np.ndarray, context: np.ndarray, prefix: int, size: int) -> LogProb:
-    """log2 of the add-half probability of pooled window counts: `prefix`
-    letters at 1/|A|, then each context's chain of add-half conditionals,
-    prod_a Gamma(nu(v a) + 1/2) / Gamma(1/2) over
-    Gamma(nu-bar(v) + |A|/2) / Gamma(|A|/2)."""
+def _sample_arrays(x) -> tuple[int, list[np.ndarray], np.ndarray]:
+    """The alphabet size, the sample arrays and their lengths."""
+    alphabet, samples = as_sample_arrays(x)
+    return alphabet.size, samples, np.array([arr.size for arr in samples], dtype=np.int64)
+
+
+def _kt_bits(pair: np.ndarray, context: np.ndarray, lengths: np.ndarray, m: int,
+             size: int) -> LogProb:
+    """log2 of the order-m add-half probability of pooled window counts:
+    the first min(m, t_j) letters of each sample at 1/|A|, then each
+    context's chain of add-half conditionals, prod_a Gamma(nu(v a) + 1/2)
+    / Gamma(1/2) over Gamma(nu-bar(v) + |A|/2) / Gamma(|A|/2)."""
+    prefix = int(np.minimum(lengths, m).sum())
     num = _lgamma_counts(pair, 0.5).sum() - pair.size * math.lgamma(0.5)
     den = _lgamma_counts(context, size / 2.0).sum() - context.size * math.lgamma(size / 2.0)
     return float(-(prefix * math.log2(size)) + (num - den) / _LN2)
 
 
-def _leading_counts(counts: WindowCounts, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair and context counts of the first n windows of `counts`.
+def _leading_kt_bits(counts: WindowCounts, lengths: np.ndarray, m: int,
+                     size: int) -> LogProb:
+    """The order-m add-half log2 probability of x, whose samples have
+    `lengths`, from the counts of an extension of x.
 
-    The windows after them, those of samples appended last, are taken
-    out of their pair and context counts, and the counts left at zero
-    dropped, so the arrays are those window_counts gives without the
-    appended samples.
+    x's windows are the first sum_j max(0, t_j - m) codes of `counts`.
+    The windows after them, those the extension adds, are taken out of
+    their pair and context counts, and the counts left at zero dropped,
+    so the arrays are those window_counts(x, m) gives.
     """
-    if n == counts.codes.size:  # nothing appended holds a window of this order
-        return counts.pair, counts.context
-    pair, context = counts.pair.copy(), counts.context.copy()
-    extra = np.searchsorted(counts.windows, counts.codes[n:])
-    np.subtract.at(pair, extra, 1)
-    np.subtract.at(context, np.searchsorted(counts.starts, extra, "right") - 1, 1)
-    return pair[pair > 0], context[context > 0]
+    n = int(np.maximum(lengths - m, 0).sum())
+    pair, context = counts.pair, counts.context
+    if n < counts.codes.size:
+        pair, context = pair.copy(), context.copy()
+        extra = np.searchsorted(counts.windows, counts.codes[n:])
+        np.subtract.at(pair, extra, 1)
+        np.subtract.at(context, np.searchsorted(counts.starts, extra, "right") - 1, 1)
+        pair, context = pair[pair > 0], context[context > 0]
+    return _kt_bits(pair, context, lengths, m, size)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +388,27 @@ class KtState(MixtureEstimator):
 # Mixture measure, batch evaluation
 
 
+def _explicit_order(lengths: np.ndarray, max_explicit_order: int) -> int:
+    """The highest order the batch mixture counts.
+
+    Orders above min(max_explicit_order, longest sample - 1) all reduce
+    to the uniform measure |A|^-t.
+    """
+    if max_explicit_order < 0:
+        raise ValueError("max_explicit_order must be nonnegative")
+    return min(max_explicit_order, int(lengths.max()) - 1)
+
+
+def _mixture_terms(kt_bits: list[LogProb], lengths: np.ndarray, size: int) -> list[LogProb]:
+    """The summands of log2 R, given log2 K_i for the counted orders
+    i = 0..E: log2 w_{i+1} + log2 K_i, then the closed-form uniform tail
+    of every higher order, log2 w_tail(E + 2) - t log2|A|."""
+    terms = [math.log2(order_weight(i + 1)) + bits for i, bits in enumerate(kt_bits)]
+    terms.append(math.log2(order_weight_tail(len(kt_bits) + 1))
+                 - int(lengths.sum()) * math.log2(size))
+    return terms
+
+
 def r_log2prob(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> LogProb:
     """log2 of the order-weighted mixture probability of x.
 
@@ -385,22 +416,10 @@ def r_log2prob(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> LogPr
     the uniform measure |A|^-t, so their weighted sum has a closed form
     and the result is exact whenever max_explicit_order is not binding.
     """
-    if max_explicit_order < 0:
-        raise ValueError("max_explicit_order must be nonnegative")
-    alphabet, samples = as_sample_arrays(x)
-    t = sum(arr.size for arr in samples)
-    if t == 0:
-        return 0.0
-    longest = max(arr.size for arr in samples)
-    explicit = min(max_explicit_order, longest - 1)
-    terms = [
-        math.log2(order_weight(i + 1)) + kt_log2prob(x, i)
-        for i in range(explicit + 1)
-    ]
-    terms.append(
-        math.log2(order_weight_tail(explicit + 2)) - t * math.log2(alphabet.size)
-    )
-    return log2_sum(terms)
+    size, _, lengths = _sample_arrays(x)
+    explicit = _explicit_order(lengths, max_explicit_order)
+    kt_bits = [kt_log2prob(x, i) for i in range(explicit + 1)]
+    return log2_sum(_mixture_terms(kt_bits, lengths, size))
 
 
 def r_cond_log2prob(word, x,
@@ -421,36 +440,20 @@ def _r_log2prob_pair(x, word, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORD
     """log2 R(x) and log2 R(x.extended(word)) from one count per order.
 
     Each order is counted once, on the extension's samples, which prices
-    K_i of the extension.  x's windows come first in the counts' codes and
-    the word's windows after them, so taking those out (`_leading_counts`)
-    leaves x's counts, hence its K_i.  Both values are == to r_log2prob's.
+    K_i of the extension; x's K_i comes from the same counts
+    (`_leading_kt_bits`).  Both values are == to r_log2prob's.
     """
-    if max_explicit_order < 0:
-        raise ValueError("max_explicit_order must be nonnegative")
-    alphabet, samples = as_sample_arrays(x)
-    _, ext_samples = as_sample_arrays(x.extended(word))
-    size = alphabet.size
-    lengths = np.array([arr.size for arr in samples], dtype=np.int64)
-    ext_lengths = np.array([arr.size for arr in ext_samples], dtype=np.int64)
-    explicit = min(max_explicit_order, int(lengths.max()) - 1)
-    ext_explicit = min(max_explicit_order, int(ext_lengths.max()) - 1)
-    terms, ext_terms = [], []
-    for i in range(ext_explicit + 1):
+    size, _, lengths = _sample_arrays(x)
+    _, ext_samples, ext_lengths = _sample_arrays(x.extended(word))
+    explicit = _explicit_order(lengths, max_explicit_order)
+    bits, ext_bits = [], []
+    for i in range(_explicit_order(ext_lengths, max_explicit_order) + 1):
         counts = _count(ext_samples, size, i)
-        log2w = math.log2(order_weight(i + 1))
-        ext_prefix = int(np.minimum(ext_lengths, i).sum())
-        ext_terms.append(log2w + _kt_bits(counts.pair, counts.context, ext_prefix, size))
+        ext_bits.append(_kt_bits(counts.pair, counts.context, ext_lengths, i, size))
         if i <= explicit:
-            pair, context = _leading_counts(counts, int(np.maximum(lengths - i, 0).sum()))
-            prefix = int(np.minimum(lengths, i).sum())
-            terms.append(log2w + _kt_bits(pair, context, prefix, size))
-
-    def total(terms, explicit, t):  # r_log2prob's sum, with its uniform tail
-        tail = math.log2(order_weight_tail(explicit + 2)) - t * math.log2(size)
-        return log2_sum(terms + [tail]) if t else 0.0
-
-    return (total(terms, explicit, int(lengths.sum())),
-            total(ext_terms, ext_explicit, int(ext_lengths.sum())))
+            bits.append(_leading_kt_bits(counts, lengths, i, size))
+    return (log2_sum(_mixture_terms(bits, lengths, size)),
+            log2_sum(_mixture_terms(ext_bits, ext_lengths, size)))
 
 
 def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
@@ -459,11 +462,11 @@ def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
 
     The next symbol continues the last sample.  R(a | x) is the sum over
     orders of the posterior weight w_i K_i(x) / R(x) times the add-half
-    row of x's final order-i context, read from one count per order: the
-    samples plus a probe sample, the last i symbols and then symbol 0.
-    The probe's window is ctx * |A| + 0, so the final context's row is
-    the windows in [code, code + |A|), and removing the probe's count of
-    one leaves the counts of x, hence the same K_i and the same log2 R(x)
+    row of x's final order-i context, read from one count per order of
+    one extension of x: symbol 0 appended to its last sample.  The
+    extension's last window is ctx * |A| + 0, so the final context's row
+    is the windows in [code, code + |A|), less that window's count of
+    one, and `_leading_kt_bits` gives the same K_i and the same log2 R(x)
     as r_log2prob.  An order whose context the last sample does not yet
     hold, and the orders above min(max_explicit_order, longest - 1),
     which price x at |A|^-t, predict uniformly.  It equals
@@ -471,41 +474,29 @@ def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
     replaying x; the posterior weights come from log-gamma sums, not
     from the sequential update, so the two differ in the last digits.
     """
-    if max_explicit_order < 0:
-        raise ValueError("max_explicit_order must be nonnegative")
-    alphabet, samples = as_sample_arrays(x)
-    size = alphabet.size
-    lengths = np.array([arr.size for arr in samples], dtype=np.int64)
-    t = int(lengths.sum())
-    uniform = np.full(size, 1.0 / size)
-    if t == 0:
-        return uniform, 0.0
+    size, samples, lengths = _sample_arrays(x)
+    explicit = _explicit_order(lengths, max_explicit_order)
     last = samples[-1]
-    explicit = min(max_explicit_order, int(lengths.max()) - 1)
-    terms, rows = [], []
+    extension = samples[:-1] + [np.append(last, 0)]
+    uniform = np.full(size, 1.0 / size)
+    bits, rows = [], []
     for i in range(explicit + 1):
-        if last.size < i:
-            counts = _count(samples, size, i)
-            pair, context, row = counts.pair, counts.context, uniform
-        else:
-            probe = np.append(last[last.size - i:], 0)
-            counts = _count(samples + [probe], size, i)
-            code = counts.codes[-1]
-            lo, hi = np.searchsorted(counts.windows, [code, code + size])
-            row = np.zeros(size)
-            row[counts.windows[lo:hi] - code] = counts.pair[lo:hi]
-            row[0] -= 1  # the probe's own window, code = ctx * |A| + 0
-            row = (row + 0.5) / (row.sum() + size / 2.0)
-            pair, context = _leading_counts(counts, counts.codes.size - 1)
-        prefix = int(np.minimum(lengths, i).sum())
-        terms.append(math.log2(order_weight(i + 1)) + _kt_bits(pair, context, prefix, size))
-        rows.append(row)
-    terms.append(math.log2(order_weight_tail(explicit + 2)) - t * math.log2(size))
-    rows.append(uniform)
+        counts = _count(extension, size, i)
+        bits.append(_leading_kt_bits(counts, lengths, i, size))
+        if last.size < i:  # the extension holds no window of x's final context
+            rows.append(uniform)
+            continue
+        code = counts.codes[-1]
+        lo, hi = np.searchsorted(counts.windows, [code, code + size])
+        row = np.zeros(size)
+        row[counts.windows[lo:hi] - code] = counts.pair[lo:hi]
+        row[0] -= 1  # the extension's own window
+        rows.append((row + 0.5) / (row.sum() + size / 2.0))
+    terms = _mixture_terms(bits, lengths, size)
     log2prob = log2_sum(terms)
     weights = np.exp2(np.array(terms) - log2prob)
     weights /= weights.sum()  # drops the error that log2prob shares with every term
-    return weights @ np.array(rows), log2prob
+    return weights @ np.array(rows + [uniform]), log2prob
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +548,12 @@ def _ctx_index(ctx, size: int) -> int:
     for s in ctx:
         idx = idx * size + int(s)
     return idx
+
+
+def _ctx_text(ctx, size: int) -> str:
+    """A context as a source file writes it: digits, or comma-separated
+    indices past 10 symbols ("10,3")."""
+    return ("," if size > 10 else "").join(str(s) for s in ctx)
 
 
 def _checked_rows(table: np.ndarray) -> np.ndarray:
@@ -738,16 +735,19 @@ class MarkovSource:
 
     @classmethod
     def from_text(cls, text: str) -> "MarkovSource":
-        size = order = None
-        rows: list[tuple[tuple, np.ndarray]] = []
-        initial = initial_line = None
+        size = order = initial = None
+        declared: dict[str, int] = {}  # line of each declaration
+        rows: dict[int, tuple[int, np.ndarray]] = {}  # context index: (line, probabilities)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, *values = line.split()
             try:
+                if key in declared:
+                    raise ValueError(f"{key} declared again (first on line {declared[key]})")
                 if key in ("alphabet", "order"):
+                    declared[key] = lineno
                     if len(values) != 1:
                         raise ValueError(f"{key} takes one integer")
                     value = int(values[0])
@@ -760,8 +760,8 @@ class MarkovSource:
                             raise ValueError("order must be nonnegative")
                         order = value
                 elif key == "initial":
+                    declared[key] = lineno
                     initial = np.asarray([float(v) for v in values])
-                    initial_line = lineno
                 else:
                     if size is None or order is None:
                         raise ValueError("alphabet and order must come first")
@@ -775,9 +775,13 @@ class MarkovSource:
                         raise ValueError(f"context must have {order} symbols")
                     if any(not 0 <= c < size for c in ctx):
                         raise ValueError("context symbol out of range")
+                    v = _ctx_index(ctx, size)
+                    if v in rows:
+                        raise ValueError(f"context {_ctx_text(ctx, size)!r} given again "
+                                         f"(first on line {rows[v][0]})")
                     if len(probs) != size:
                         raise ValueError(f"expected {size} probabilities")
-                    rows.append((ctx, _checked_rows(np.asarray([float(v) for v in probs]))))
+                    rows[v] = lineno, _checked_rows(np.asarray([float(p) for p in probs]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         if size is None or order is None:
@@ -788,14 +792,15 @@ class MarkovSource:
                     raise ValueError(f"expected {size ** order} initial probabilities")
                 _checked_initial(initial)
             except ValueError as exc:
-                raise ValueError(f"line {initial_line}: {exc}") from None
-        alphabet = Alphabet.of_size(size)
-        table = np.full((size ** order, size), np.nan)
-        for ctx, probs in rows:
-            table[_ctx_index(ctx, size)] = probs
-        if np.isnan(table).any():
-            raise ValueError("conditional table is missing contexts")
-        return cls(alphabet, order, table, initial=initial)
+                raise ValueError(f"line {declared['initial']}: {exc}") from None
+        # the first context without a row, found before the table is built,
+        # so a large declared order costs no more than the rows given
+        missing = next((v for v in range(size ** order) if v not in rows), None)
+        if missing is not None:
+            ctx = np.unravel_index(missing, [size] * order)
+            raise ValueError(f"conditional table is missing context {_ctx_text(ctx, size)!r}")
+        table = np.array([rows[v][1] for v in range(len(rows))])
+        return cls(Alphabet.of_size(size), order, table, initial=initial)
 
     @classmethod
     def from_file(cls, path) -> "MarkovSource":
@@ -807,9 +812,8 @@ class MarkovSource:
         if self.order:
             lines.append("initial " + " ".join(repr(float(p)) for p in self.initial))
         size = self.alphabet.size
-        sep = "," if size > 10 else ""  # contexts of larger alphabets: "10,3"
         for v in range(size ** self.order):
-            ctx = sep.join(str(s) for s in np.unravel_index(v, [size] * self.order))
+            ctx = _ctx_text(np.unravel_index(v, [size] * self.order), size)
             probs = " ".join(repr(float(p)) for p in self.table[v])
             lines.append(f"{ctx} {probs}" if ctx else probs)
         return "\n".join(lines) + "\n"

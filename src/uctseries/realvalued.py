@@ -110,6 +110,13 @@ class Partition:
         idx = np.floor(scaled * self.cells).astype(np.int64)
         return np.minimum(idx, self.cells - 1)
 
+    def levels(self, values) -> list[SymbolSeq]:
+        """The values' cell sequences at depths 0..depth, the depth-s one
+        over 2**s cells, from one cell_index call."""
+        finest = self.cell_index(values)
+        return [SymbolSeq(Alphabet.of_size(1 << s), finest >> (self.depth - s))
+                for s in range(self.depth + 1)]
+
     def cell_bounds(self, i: int) -> tuple[float, float]:
         w = self.cell_measure
         return self.lower + i * w, self.lower + (i + 1) * w
@@ -251,12 +258,11 @@ class DensityEstimator:
     def consume(self, values) -> "DensityEstimator":
         """Take the values in order; a value outside the domain is rejected
         before any state changes."""
-        finest = self.partition.cell_index(values)
-        depth = self.partition.depth
-        for s, est in enumerate(self._estimators, start=1):
-            for a in (finest >> (depth - s)).tolist():
+        levels = self.partition.levels(values)
+        for est, cells in zip(self._estimators, levels[1:]):
+            for a in cells.symbols.tolist():
                 est.append(a)
-        self.t += finest.size
+        self.t += len(levels[0])
         return self
 
     def depth_log2_terms(self) -> np.ndarray:
@@ -296,13 +302,9 @@ def density_log2(values, lower: float, upper: float,
     """
     _check_mixture_depth(max_depth)
     finest = Partition(lower, upper, max_depth)
-    cells = quantize(values, finest).symbols
-    mus = [0.0] + [
-        r_log2prob(SymbolSeq(Alphabet.of_size(1 << s), cells >> (max_depth - s)),
-                   _order_cap(s))
-        for s in range(1, max_depth + 1)
-    ]
-    return _mixture_log2(_depth_log2_terms(finest, cells.size, mus), renormalize)
+    levels = finest.levels(values)
+    mus = [0.0] + [r_log2prob(cells, _order_cap(s)) for s, cells in enumerate(levels[1:], 1)]
+    return _mixture_log2(_depth_log2_terms(finest, len(levels[0]), mus), renormalize)
 
 
 def _history_conditional(history, lower, upper,
@@ -318,14 +320,13 @@ def _history_conditional(history, lower, upper,
     """
     _check_mixture_depth(max_depth)
     finest = Partition(lower, upper, int(max_depth))
-    cells = finest.cell_index([] if history is None else history)
+    levels = finest.levels([] if history is None else history)
     mus, conds = [0.0], [np.zeros(1)]
-    for s in range(1, finest.depth + 1):
-        probs, mu = final_conditional(
-            SymbolSeq(Alphabet.of_size(1 << s), cells >> (finest.depth - s)), _order_cap(s))
+    for s, cells in enumerate(levels[1:], 1):
+        probs, mu = final_conditional(cells, _order_cap(s))
         mus.append(mu)
         conds.append(np.log2(probs))
-    terms = _depth_log2_terms(finest, cells.size, mus)
+    terms = _depth_log2_terms(finest, len(levels[0]), mus)
     return finest, _conditional_cell_log2densities(finest, terms, conds)
 
 

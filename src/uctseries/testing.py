@@ -22,7 +22,7 @@ from .estimators import (
     order_weight,
 )
 from .realvalued import Partition, PiecewiseConstantDensity, _check_mixture_depth
-from .seqmodel import Alphabet, SymbolSeq, as_sample_arrays, window_counts
+from .seqmodel import as_sample_arrays, window_counts
 
 __all__ = [
     "EmpiricalEntropy",
@@ -203,8 +203,8 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
     partition of the domain into 2^i cells.  Rejects iff any sub-test
     rejects.  Checking stops at the first depth whose maximum achievable
     statistic t*log2(cells) cannot exceed its threshold, or after
-    max_depth partitions.  Values are quantized once, at max_depth; the
-    depth-i cell of a value is its finest cell shifted right.
+    max_depth partitions.  Values are quantized once, at max_depth, into
+    every depth's cells (`Partition.levels`).
 
     kind "si" tests serial independence of i.i.d. data (order 0 only:
     quantizing can inflate the memory of a Markov chain, so higher orders
@@ -221,7 +221,7 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
     t = data.size
     provider = ideal_r_provider(max_explicit_order)
     lo, hi = domain
-    finest = Partition(lo, hi, max_depth).cell_index(data)
+    levels = Partition(lo, hi, max_depth).levels(data)
 
     subs: list[TestReport] = []
     i_stop = None
@@ -230,7 +230,7 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
         if t * i <= -math.log2(level):  # t * log2(cells)
             i_stop = i
             break
-        cells = SymbolSeq(Alphabet.of_size(1 << i), finest >> (max_depth - i))
+        cells = levels[i]
         if kind == "si":
             sub = serial_independence_test(cells, 0, level, provider)
         else:

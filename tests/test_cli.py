@@ -213,6 +213,12 @@ class TestIdentityCommand:
         ("alphabet 2\norder 1\n0 0.5 0.6\n1 0.5 0.5\n", 3),
         ("alphabet 2\norder 1\n0 0.5 0.5\n1 -0.5 1.5\n", 4),
         ("alphabet 2\norder 0\n# a comment\nnan 1\n", 4),
+        # each declaration and each context once
+        ("alphabet 2\norder 1\n0 0.5 0.5\n1 0.5 0.5\norder 2\n", 5),
+        ("alphabet 2\nalphabet 3\norder 0\n0.5 0.5\n", 2),
+        ("alphabet 2\norder 1\n0 0.5 0.5\n0 0.9 0.1\n1 0.5 0.5\n", 4),
+        ("alphabet 2\norder 1\ninitial 0.5 0.5\ninitial 0.5 0.5\n0 0.5 0.5\n1 0.5 0.5\n", 4),
+        ("alphabet 2\norder 0\n0.5 0.5\n0.5 0.5\n", 4),
     ])
     def test_malformed_null_is_data_error_naming_the_line(self, capsys, tmp_path,
                                                           text, line):
@@ -225,6 +231,21 @@ class TestIdentityCommand:
         error = json.loads(err)
         assert error["error"] == "data" and f"line {line}:" in error["detail"]
 
+    @pytest.mark.parametrize("text, context", [
+        ("alphabet 2\norder 2\n00 0.5 0.5\n01 0.5 0.5\n11 0.5 0.5\n", "'10'"),
+        ("alphabet 12\norder 1\n0" + " 0.5" * 2 + " 0" * 10 + "\n", "'1'"),
+        ("alphabet 2\norder 0\n", "''"),
+        # found before a table of 2^60 rows is allocated
+        ("alphabet 2\norder 60\n", repr("0" * 60)),
+    ])
+    def test_missing_context_is_data_error_naming_it(self, capsys, tmp_path, text,
+                                                     context):
+        null = tmp_path / "null.txt"
+        null.write_text(text)
+        code, rep, err = run(capsys, "test-identity", "--in", DATA / "mixed.txt",
+                             "--null", null)
+        assert code == 3 and rep is None
+        assert json.loads(err)["detail"] == f"conditional table is missing context {context}"
 
     @pytest.mark.parametrize("initial", ["nan nan", "nan 1", "inf -inf"])
     def test_non_finite_initial_distribution_is_data_error(self, capsys, tmp_path,

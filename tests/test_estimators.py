@@ -521,6 +521,21 @@ def _final_cases(draw):
     return _as_x(Alphabet.of_size(size), samples), order
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """The arguments of every window count, through either module's binding."""
+    calls = []
+    count = seqmodel._count
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_count", counting)
+    monkeypatch.setattr(seqmodel, "_count", counting)
+    return calls
+
+
 class TestFinalConditional:
     """The batch conditional against the sequential mixture and an exact oracle."""
 
@@ -551,6 +566,21 @@ class TestFinalConditional:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             final_conditional(seq("01"), -1)
+
+    @pytest.mark.parametrize("argv,orders", [
+        (["mixed.txt"], 17),
+        (["two_samples.txt", "--max-order", "1"], 2),
+    ])
+    def test_predict_counts_one_extension_once_per_order(self, counted, capsys, argv,
+                                                         orders):
+        data = Path(__file__).parent / "data" / argv[0]
+        assert cli.main(["predict", "--in", str(data), *argv[1:]]) == 0
+        assert "conditionals" in json.loads(capsys.readouterr().out)
+        assert [args[2] for args in counted] == list(range(orders))
+        first = counted[0][0]  # the same arrays at every order, no per-order probe
+        for samples, *_ in counted:
+            assert len(samples) == len(first)
+            assert all(a is b for a, b in zip(samples, first))
 
 
 def _exact_log_r(x, max_explicit_order):
@@ -649,20 +679,11 @@ class TestLog2ProbPair:
         (["mixed.txt", "--query", "0110"], 17),
         (["two_samples.txt", "--query", "01101", "--max-order", "1"], 2),
     ])
-    def test_estimate_query_counts_once_per_order(self, monkeypatch, capsys, argv, orders):
-        counted = []
-
-        def counting(samples, size, m):
-            counted.append(m)
-            return seqmodel_count(samples, size, m)
-
-        seqmodel_count = seqmodel._count
-        monkeypatch.setattr(estimators, "_count", counting)
-        monkeypatch.setattr(seqmodel, "_count", counting)
+    def test_estimate_query_counts_once_per_order(self, counted, capsys, argv, orders):
         data = Path(__file__).parent / "data" / argv[0]
         assert cli.main(["estimate", "--in", str(data), *argv[1:]]) == 0
         assert json.loads(capsys.readouterr().out)["query"]["word"] == argv[2]
-        assert counted == list(range(orders))
+        assert [args[2] for args in counted] == list(range(orders))
 
 
 def test_peak_memory_of_large_alphabet_stays_small(child_peak_kib):

@@ -87,10 +87,10 @@ class TestPartition:
         (0.0, 1.0), (-1.0, 1.0), (0.1, 0.7), (-3.3, 1e-3), (1e6, 1e6 + 3.7),
         (-1e-9, 2e-9),
     ])
-    def test_finest_cell_shifted_is_coarse_cell(self, lower, upper):
-        # the quantizers read each value once, at the finest depth, and
-        # shift; every cell edge, its float neighbours and the last value
-        # below the upper bound are where rounding could break that
+    def test_levels_are_the_coarse_cells(self, lower, upper):
+        # levels reads each value once, at the finest depth, and shifts;
+        # every cell edge, its float neighbours and the last value below
+        # the upper bound are where rounding could break that
         depth = 10
         edges = Partition(lower, upper, depth).edges()
         xs = np.concatenate([
@@ -99,10 +99,11 @@ class TestPartition:
             np.random.default_rng(11).uniform(lower, upper, size=2000),
         ])
         xs = xs[(xs >= lower) & (xs < upper)]
-        finest = Partition(lower, upper, depth).cell_index(xs)
-        for s in range(depth + 1):
-            coarse = Partition(lower, upper, s).cell_index(xs)
-            assert (finest >> (depth - s) == coarse).all()
+        levels = Partition(lower, upper, depth).levels(xs)
+        assert len(levels) == depth + 1
+        for s, cells in enumerate(levels):
+            assert cells.alphabet.size == 1 << s
+            assert (cells.symbols == Partition(lower, upper, s).cell_index(xs)).all()
 
 
 class TestQuantize:
