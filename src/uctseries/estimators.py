@@ -550,6 +550,16 @@ def _ctx_index(ctx, size: int) -> int:
     return idx
 
 
+def _ctx_digits(idx: int, size: int, order: int) -> list[int]:
+    """The `order` symbols of context index `idx` (inverse of _ctx_index),
+    in Python integers, so no order is too long."""
+    digits = []
+    for _ in range(order):
+        idx, s = divmod(idx, size)
+        digits.append(s)
+    return digits[::-1]
+
+
 def _ctx_text(ctx, size: int) -> str:
     """A context as a source file writes it: digits, or comma-separated
     indices past 10 symbols ("10,3")."""
@@ -695,12 +705,7 @@ class MarkovSource:
             out[:] = rng.choice(size, size=t, p=self.table[0])
             return SymbolSeq(self.alphabet, out)
         ctx = int(rng.choice(self.initial.size, p=self.initial))
-        head = []
-        rem = ctx
-        for _ in range(self.order):
-            head.append(rem % size)
-            rem //= size
-        head.reverse()
+        head = _ctx_digits(ctx, size, self.order)
         n_head = min(t, self.order)
         out[:n_head] = head[:n_head]
         mod = size ** self.order
@@ -797,8 +802,8 @@ class MarkovSource:
         # so a large declared order costs no more than the rows given
         missing = next((v for v in range(size ** order) if v not in rows), None)
         if missing is not None:
-            ctx = np.unravel_index(missing, [size] * order)
-            raise ValueError(f"conditional table is missing context {_ctx_text(ctx, size)!r}")
+            ctx = _ctx_text(_ctx_digits(missing, size, order), size)
+            raise ValueError(f"conditional table is missing context {ctx!r}")
         table = np.array([rows[v][1] for v in range(len(rows))])
         return cls(Alphabet.of_size(size), order, table, initial=initial)
 
@@ -813,7 +818,7 @@ class MarkovSource:
             lines.append("initial " + " ".join(repr(float(p)) for p in self.initial))
         size = self.alphabet.size
         for v in range(size ** self.order):
-            ctx = _ctx_text(np.unravel_index(v, [size] * self.order), size)
+            ctx = _ctx_text(_ctx_digits(v, size, self.order), size)
             probs = " ".join(repr(float(p)) for p in self.table[v])
             lines.append(f"{ctx} {probs}" if ctx else probs)
         return "\n".join(lines) + "\n"

@@ -110,12 +110,16 @@ class Partition:
         idx = np.floor(scaled * self.cells).astype(np.int64)
         return np.minimum(idx, self.cells - 1)
 
-    def levels(self, values) -> list[SymbolSeq]:
-        """The values' cell sequences at depths 0..depth, the depth-s one
+    def level_cells(self, values) -> list[np.ndarray]:
+        """The values' cell indices at depths 0..depth, the depth-s ones
         over 2**s cells, from one cell_index call."""
         finest = self.cell_index(values)
-        return [SymbolSeq(Alphabet.of_size(1 << s), finest >> (self.depth - s))
-                for s in range(self.depth + 1)]
+        return [finest >> (self.depth - s) for s in range(self.depth + 1)]
+
+    def levels(self, values) -> list[SymbolSeq]:
+        """level_cells as sequences, the depth-s one over 2**s symbols."""
+        return [SymbolSeq(Alphabet.of_size(1 << s), cells)
+                for s, cells in enumerate(self.level_cells(values))]
 
     def cell_bounds(self, i: int) -> tuple[float, float]:
         w = self.cell_measure
@@ -258,11 +262,11 @@ class DensityEstimator:
     def consume(self, values) -> "DensityEstimator":
         """Take the values in order; a value outside the domain is rejected
         before any state changes."""
-        levels = self.partition.levels(values)
+        levels = self.partition.level_cells(values)
         for est, cells in zip(self._estimators, levels[1:]):
-            for a in cells.symbols.tolist():
+            for a in cells.tolist():
                 est.append(a)
-        self.t += len(levels[0])
+        self.t += levels[0].size
         return self
 
     def depth_log2_terms(self) -> np.ndarray:

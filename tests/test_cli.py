@@ -237,6 +237,8 @@ class TestIdentityCommand:
         ("alphabet 2\norder 0\n", "''"),
         # found before a table of 2^60 rows is allocated
         ("alphabet 2\norder 60\n", repr("0" * 60)),
+        # longer than numpy's dimension limit, named digit by digit
+        ("alphabet 2\norder 70\n" + "0" * 70 + " 0.5 0.5\n", repr("0" * 69 + "1")),
     ])
     def test_missing_context_is_data_error_naming_it(self, capsys, tmp_path, text,
                                                      context):
