@@ -175,11 +175,10 @@ def cmd_estimate(args) -> int:
     else:  # one count per order, of x with the word: x is counted once
         word = _parse_word(args.query, alphabet)
         lp, query_lp = estimators._r_log2prob_pair(x, word, args.max_order)
-    lengths = [len(s) for s in x.samples] if isinstance(x, MultiSample) else [len(x)]
     report = {
         "command": "estimate",
         "alphabet": list(alphabet.labels),
-        "lengths": lengths,
+        "lengths": x.lengths.tolist(),
         "max_order": args.max_order,
         "log2_prob": lp,
         "prob": float(2.0 ** lp),

@@ -87,8 +87,7 @@ def arithmetic_provider(max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
     mixture estimator per call (whole bits)."""
 
     def fn(x):
-        alphabet, _ = as_sample_arrays(x)
-        return arithmetic_encode(x, MixtureEstimator(alphabet, max_explicit_order))[1]
+        return arithmetic_encode(x, MixtureEstimator(x.alphabet, max_explicit_order))[1]
 
     return CodelengthProvider("arithmetic", fn)
 
@@ -130,12 +129,8 @@ class ExternalCompressor:
         return proc.stdout
 
     def codelength(self, x) -> float:
-        if isinstance(x, MultiSample):
-            if len(x.samples) > 1:
-                raise ValueError(
-                    "external compressors are defined on single sequences only"
-                )
-            x = x.samples[0]
+        if x.lengths.size > 1:
+            raise ValueError("external compressors are defined on single sequences only")
         if x.alphabet.size > 256:
             raise ValueError("external compressors support alphabets up to 256 symbols")
         payload = x.symbols.astype(np.uint8).tobytes()

@@ -22,10 +22,10 @@ import numpy as np
 from .seqmodel import (
     Alphabet,
     AlphabetMismatchError,
-    MultiSample,
     SymbolSeq,
     WindowCounts,
     _count,
+    _layout,
     as_sample_arrays,
     window_counts,
 )
@@ -153,15 +153,9 @@ def kt_log2prob(x, m: int) -> LogProb:
     The first min(m, t_i) letters of every sample are priced at 1/|A|;
     the rest comes from the pooled window counts through log-gamma.
     """
-    size, _, lengths = _sample_arrays(x)
-    counts = window_counts(x, m)
+    size, flat, lengths = _layout(x)
+    counts = _count(flat, lengths, size, m)
     return _kt_bits(counts.pair, counts.context, lengths, m, size)
-
-
-def _sample_arrays(x) -> tuple[int, list[np.ndarray], np.ndarray]:
-    """The alphabet size, the sample arrays and their lengths."""
-    alphabet, samples = as_sample_arrays(x)
-    return alphabet.size, samples, np.array([arr.size for arr in samples], dtype=np.int64)
 
 
 def _kt_bits(pair: np.ndarray, context: np.ndarray, lengths: np.ndarray, m: int,
@@ -416,7 +410,7 @@ def r_log2prob(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> LogPr
     the uniform measure |A|^-t, so their weighted sum has a closed form
     and the result is exact whenever max_explicit_order is not binding.
     """
-    size, _, lengths = _sample_arrays(x)
+    size, _, lengths = _layout(x)
     explicit = _explicit_order(lengths, max_explicit_order)
     kt_bits = [kt_log2prob(x, i) for i in range(explicit + 1)]
     return log2_sum(_mixture_terms(kt_bits, lengths, size))
@@ -439,16 +433,16 @@ def _r_log2prob_pair(x, word, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORD
                      ) -> tuple[LogProb, LogProb]:
     """log2 R(x) and log2 R(x.extended(word)) from one count per order.
 
-    Each order is counted once, on the extension's samples, which prices
-    K_i of the extension; x's K_i comes from the same counts
+    Each order is counted once, on the extension's flat array, which
+    prices K_i of the extension; x's K_i comes from the same counts
     (`_leading_kt_bits`).  Both values are == to r_log2prob's.
     """
-    size, _, lengths = _sample_arrays(x)
-    _, ext_samples, ext_lengths = _sample_arrays(x.extended(word))
+    size, _, lengths = _layout(x)
+    _, extension, ext_lengths = _layout(x.extended(word))
     explicit = _explicit_order(lengths, max_explicit_order)
     bits, ext_bits = [], []
     for i in range(_explicit_order(ext_lengths, max_explicit_order) + 1):
-        counts = _count(ext_samples, size, i)
+        counts = _count(extension, ext_lengths, size, i)
         ext_bits.append(_kt_bits(counts.pair, counts.context, ext_lengths, i, size))
         if i <= explicit:
             bits.append(_leading_kt_bits(counts, lengths, i, size))
@@ -474,16 +468,16 @@ def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
     replaying x; the posterior weights come from log-gamma sums, not
     from the sequential update, so the two differ in the last digits.
     """
-    size, samples, lengths = _sample_arrays(x)
+    size, flat, lengths = _layout(x)
     explicit = _explicit_order(lengths, max_explicit_order)
-    last = samples[-1]
-    extension = samples[:-1] + [np.append(last, 0)]
+    extension = np.append(flat, 0)
+    ext_lengths = np.append(lengths[:-1], lengths[-1] + 1)
     uniform = np.full(size, 1.0 / size)
     bits, rows = [], []
     for i in range(explicit + 1):
-        counts = _count(extension, size, i)
+        counts = _count(extension, ext_lengths, size, i)
         bits.append(_leading_kt_bits(counts, lengths, i, size))
-        if last.size < i:  # the extension holds no window of x's final context
+        if lengths[-1] < i:  # the extension holds no window of x's final context
             rows.append(uniform)
             continue
         code = counts.codes[-1]
@@ -513,11 +507,6 @@ class PairAlphabet:
     @property
     def product(self) -> Alphabet:
         return Alphabet.of_size(self.x_alphabet.size * self.y_alphabet.size)
-
-    def pair_index(self, ix: int, iy: int) -> int:
-        if not (0 <= ix < self.x_alphabet.size and 0 <= iy < self.y_alphabet.size):
-            raise AlphabetMismatchError("pair component out of range")
-        return ix * self.y_alphabet.size + iy
 
 
 def side_info_cond_log2probs(pair_alphabet: PairAlphabet, history, y_next: int,

@@ -98,7 +98,9 @@ def _check_same_alphabet(a: Alphabet, b: Alphabet) -> None:
 
 @dataclass(eq=False)
 class SymbolSeq:
-    """A finite sequence of symbol indices over one alphabet."""
+    """A finite sequence of symbol indices over one alphabet: the
+    one-sample case of the multi-sample layout, whose `lengths` is its
+    one length."""
 
     alphabet: Alphabet
     symbols: np.ndarray
@@ -111,6 +113,10 @@ class SymbolSeq:
 
     def __len__(self) -> int:
         return int(self.symbols.size)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.array([self.symbols.size], dtype=np.int64)
 
     @classmethod
     def from_labels(cls, alphabet: Alphabet, tokens) -> "SymbolSeq":
@@ -131,45 +137,60 @@ class SymbolSeq:
         return SymbolSeq(self.alphabet, np.concatenate([self.symbols, extra]))
 
 
-@dataclass(eq=False)
 class MultiSample:
     """Several independent samples from one source, evaluated jointly.
 
-    Window statistics are summed per sample and never cross a boundary.
+    Stored as one flat int64 array, `symbols`, sample after sample, and
+    the samples' `lengths`; window statistics never cross a boundary.
+    The samples are copied in, so changing an input afterwards leaves the
+    multi-sample unchanged; `samples` gives views of the flat array.
     """
 
-    samples: list[SymbolSeq]
-
-    def __post_init__(self):
-        if not self.samples:
+    def __init__(self, samples):
+        samples = list(samples)
+        if not samples:
             raise ValueError("multi-sample must contain at least one sample")
-        for s in self.samples[1:]:
-            _check_same_alphabet(self.samples[0].alphabet, s.alphabet)
+        for s in samples[1:]:
+            _check_same_alphabet(samples[0].alphabet, s.alphabet)
+        self.alphabet: Alphabet = samples[0].alphabet
+        self.symbols = np.concatenate([s.symbols for s in samples])
+        self.lengths = np.array([s.symbols.size for s in samples], dtype=np.int64)
 
     @property
-    def alphabet(self) -> Alphabet:
-        return self.samples[0].alphabet
+    def samples(self) -> list[SymbolSeq]:
+        return [SymbolSeq(self.alphabet, arr) for arr in as_sample_arrays(self)[1]]
 
     @property
     def total_length(self) -> int:
-        return sum(len(s) for s in self.samples)
+        return int(self.symbols.size)
 
     def __len__(self) -> int:
         return self.total_length
 
     def extended(self, word) -> "MultiSample":
         """New multi-sample with `word` appended as an additional sample."""
-        extra = SymbolSeq(self.alphabet, np.asarray(word, dtype=np.int64))
-        return MultiSample(self.samples + [extra])
+        extra = _coerce_word(self.alphabet, word)
+        out = MultiSample.__new__(MultiSample)
+        out.alphabet = self.alphabet
+        out.symbols = np.concatenate([self.symbols, extra])
+        out.lengths = np.append(self.lengths, extra.size)
+        return out
+
+
+def _layout(x) -> tuple[int, np.ndarray, np.ndarray]:
+    """The alphabet size, the flat symbol array and the sample lengths of
+    a SymbolSeq or MultiSample."""
+    if not isinstance(x, (SymbolSeq, MultiSample)):
+        raise TypeError(f"expected SymbolSeq or MultiSample, got {type(x).__name__}")
+    return x.alphabet.size, x.symbols, x.lengths
 
 
 def as_sample_arrays(x) -> tuple[Alphabet, list[np.ndarray]]:
-    """Normalize a SymbolSeq or MultiSample to (alphabet, list of arrays)."""
-    if isinstance(x, SymbolSeq):
-        return x.alphabet, [x.symbols]
-    if isinstance(x, MultiSample):
-        return x.alphabet, [s.symbols for s in x.samples]
-    raise TypeError(f"expected SymbolSeq or MultiSample, got {type(x).__name__}")
+    """A SymbolSeq or MultiSample as (alphabet, its samples' arrays), views
+    of the flat array."""
+    _, flat, lengths = _layout(x)
+    bounds = [0, *np.cumsum(lengths).tolist()]
+    return x.alphabet, [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _coerce_word(x_alphabet: Alphabet, v) -> np.ndarray:
@@ -212,7 +233,7 @@ def window_counts(x, m: int) -> WindowCounts:
 
     A window's code is its base-|A| value, so codes sort lexicographically
     and a window's context code is code // |A|.  Codes are built over the
-    concatenated samples by prefix doubling, as in suffix-array
+    flat array of every sample by prefix doubling, as in suffix-array
     construction: the codes of the length-L words at i and i + L make the
     length-2L word at i, and one multiply-add appends a symbol, so order m
     takes about log2(m) + popcount(m) passes over the data.  Before a step
@@ -223,14 +244,14 @@ def window_counts(x, m: int) -> WindowCounts:
     tally (`np.bincount`), larger ones by a sort; both give the distinct
     windows in ascending order.
     """
+    size, flat, lengths = _layout(x)
+    return _count(flat, lengths, size, m)
+
+
+def _count(flat: np.ndarray, lengths: np.ndarray, size: int, m: int) -> WindowCounts:
+    """window_counts of the samples of `lengths` symbols laid end to end in `flat`."""
     if m < 0:
         raise ValueError("order must be nonnegative")
-    alphabet, samples = as_sample_arrays(x)
-    return _count(samples, alphabet.size, m)
-
-
-def _count(samples: list[np.ndarray], size: int, m: int) -> WindowCounts:
-    flat = samples[0] if len(samples) == 1 else np.concatenate(samples)
     n = flat.size - m  # windows starting at every position, boundaries included
     empty = np.zeros(0, dtype=np.int64)
     if n <= 0:
@@ -261,10 +282,9 @@ def _count(samples: list[np.ndarray], size: int, m: int) -> WindowCounts:
             codes += flat[length:]
             bound *= size
             length += 1
-    if len(samples) > 1:  # drop the windows that run past their sample's end
-        lengths = np.array([arr.size for arr in samples], dtype=np.int64)
+    if lengths.size > 1:  # drop the windows that run past their sample's end
         tail = np.minimum(lengths, m)  # the last positions, whose windows are cut short
-        keep = np.repeat(np.tile([True, False], len(samples)),
+        keep = np.repeat(np.tile([True, False], lengths.size),
                          np.column_stack([lengths - tail, tail]).ravel())
         codes = codes[keep[:n]]
     if not codes.size:
@@ -306,10 +326,11 @@ def count_occurrences(x, v) -> int:
 
     A sample shorter than `v` contributes no window.
     """
-    alphabet, samples = as_sample_arrays(x)
-    word = _coerce_word(alphabet, v)
+    size, flat, lengths = _layout(x)
+    word = _coerce_word(x.alphabet, v)
     if not word.size:
         raise ValueError("word must be nonempty")
     # the word joins as one more sample; its only window is the last one
-    counts = _count(samples + [word], alphabet.size, word.size - 1)
+    counts = _count(np.concatenate([flat, word]), np.append(lengths, word.size), size,
+                    word.size - 1)
     return int(counts.pair[np.searchsorted(counts.windows, counts.codes[-1])]) - 1

@@ -22,7 +22,7 @@ from .estimators import (
     order_weight,
 )
 from .realvalued import Partition, PiecewiseConstantDensity, _check_mixture_depth
-from .seqmodel import as_sample_arrays, window_counts
+from .seqmodel import _count, _layout
 
 __all__ = [
     "EmpiricalEntropy",
@@ -51,13 +51,11 @@ def empirical_entropy(x, k: int) -> EmpiricalEntropy:
     Every sample must be longer than k; the normalizer is the total
     number of (k+1)-windows, t - k*r over r samples.
     """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    alphabet, samples = as_sample_arrays(x)
-    if any(arr.size <= k for arr in samples):
+    size, flat, lengths = _layout(x)
+    if (lengths <= k).any():
         raise ValueError(f"every sample must be longer than the order k={k}")
-    windows = sum(arr.size - k for arr in samples)
-    counts = window_counts(x, k)
+    windows = int((lengths - k).sum())
+    counts = _count(flat, lengths, size, k)
     acc = 0.0  # summed context by context, which fixes the rounding of reports
     rows = np.split(counts.pair, counts.starts[1:])
     for row, total in zip(rows, counts.context.tolist()):
@@ -126,7 +124,6 @@ def _compression_test(test: str, x, reference_bits: float, alpha: float,
     else:
         statistic = reference_bits - provider.codelength(x)
     threshold = -math.log2(alpha)
-    _, samples = as_sample_arrays(x)
     return TestReport(
         test=test,
         alpha=alpha,
@@ -135,7 +132,7 @@ def _compression_test(test: str, x, reference_bits: float, alpha: float,
         verdict="reject" if statistic > threshold else "accept",
         provider=provider.name,
         order=order,
-        lengths=[int(arr.size) for arr in samples],
+        lengths=_layout(x)[2].tolist(),
     )
 
 

@@ -576,11 +576,10 @@ class TestFinalConditional:
         data = Path(__file__).parent / "data" / argv[0]
         assert cli.main(["predict", "--in", str(data), *argv[1:]]) == 0
         assert "conditionals" in json.loads(capsys.readouterr().out)
-        assert [args[2] for args in counted] == list(range(orders))
-        first = counted[0][0]  # the same arrays at every order, no per-order probe
-        for samples, *_ in counted:
-            assert len(samples) == len(first)
-            assert all(a is b for a, b in zip(samples, first))
+        assert [args[3] for args in counted] == list(range(orders))
+        flat, lengths = counted[0][:2]  # the same arrays at every order, no per-order probe
+        for args in counted:
+            assert args[0] is flat and args[1] is lengths
 
 
 def _exact_log_r(x, max_explicit_order):
@@ -683,7 +682,7 @@ class TestLog2ProbPair:
         data = Path(__file__).parent / "data" / argv[0]
         assert cli.main(["estimate", "--in", str(data), *argv[1:]]) == 0
         assert json.loads(capsys.readouterr().out)["query"]["word"] == argv[2]
-        assert [args[2] for args in counted] == list(range(orders))
+        assert [args[3] for args in counted] == list(range(orders))
 
 
 def test_peak_memory_of_large_alphabet_stays_small(child_peak_kib):
@@ -727,10 +726,10 @@ class TestSideInformation:
         history = [(0, 1)]
         y_next = 0
         lps = side_info_cond_log2probs(pair, history, y_next)
-        hist_seq = SymbolSeq(pair.product, [pair.pair_index(0, 1)])
+        hist_seq = SymbolSeq(pair.product, [0 * 2 + 1])  # the pair (x, y) is x * |Y| + y
         joint = np.array(
             [
-                2 ** r_log2prob(hist_seq.extended([pair.pair_index(x, y_next)]))
+                2 ** r_log2prob(hist_seq.extended([x * 2 + y_next]))
                 for x in range(2)
             ]
         )

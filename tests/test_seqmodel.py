@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctseries.estimators import final_conditional, kt_log2prob, r_log2prob
 from uctseries.seqmodel import (
     Alphabet,
     AlphabetMismatchError,
     MultiSample,
     SymbolSeq,
+    as_sample_arrays,
     count_occurrences,
     pair_counts,
     window_counts,
 )
+from uctseries.testing import empirical_entropy
 
 BINARY = Alphabet.of_size(2)
 
@@ -107,6 +110,50 @@ class TestMultiSample:
         ms = multi("01", "10").extended([1, 1])
         assert len(ms.samples) == 3
         assert ms.samples[-1].symbols.tolist() == [1, 1]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5).flatmap(lambda size: st.tuples(
+        st.just(size),
+        st.lists(st.lists(st.integers(0, size - 1), max_size=6), min_size=1, max_size=5))))
+    def test_flat_layout_round_trips(self, case):
+        size, samples = case
+        alphabet = Alphabet.of_size(size)
+        ms = MultiSample([SymbolSeq(alphabet, s) for s in samples])
+        assert [s.symbols.tolist() for s in ms.samples] == samples
+        assert [arr.tolist() for arr in as_sample_arrays(ms)[1]] == samples
+        assert ms.symbols.tolist() == [a for s in samples for a in s]
+        assert ms.lengths.tolist() == [len(s) for s in samples]
+        assert len(ms) == ms.total_length == sum(map(len, samples))
+
+    @pytest.mark.parametrize("x,symbols,lengths", [
+        (seq("01"), [0, 1, 1, 0], [4]),
+        (multi("01", ""), [0, 1, 1, 0], [2, 0, 2]),
+    ])
+    def test_extended_on_both_kinds(self, x, symbols, lengths):
+        ext = x.extended([1, 0])
+        assert type(ext) is type(x)
+        assert ext.symbols.tolist() == symbols and ext.lengths.tolist() == lengths
+        with pytest.raises(ValueError):
+            x.extended([0, 2])
+
+    def test_copies_its_samples(self):
+        s = seq("0110")
+        ms = MultiSample([s, seq("1")])
+        s.symbols[0] = 1
+        assert ms.samples[0].symbols.tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: window_counts(x, 1),
+    lambda x: kt_log2prob(x, 1),
+    r_log2prob,
+    final_conditional,
+    lambda x: empirical_entropy(x, 1),
+], ids=["window_counts", "kt_log2prob", "r_log2prob", "final_conditional",
+        "empirical_entropy"])
+def test_plain_list_is_a_type_error(fn):
+    with pytest.raises(TypeError, match="expected SymbolSeq or MultiSample, got list"):
+        fn([0, 1, 0])
 
 
 class TestCountOccurrences:
