@@ -5,10 +5,12 @@ sets the exit code: 0 success or accept, 1 reject (tests and the Monte
 Carlo bound check), 2 usage error, 3 data error.  Errors emit a
 machine-readable {"error", "detail"} object on standard error.
 
-Symbol files are UTF-8 text, blank-line separated samples.  When every
-alphabet label is a single character (the default numeric labels up to
-size 10), each line is a contiguous string of symbols; otherwise one
-token per line.  Real-valued files hold one value per line.
+Symbol files are UTF-8 text, blank-line separated samples; a leading
+byte order mark is ignored.  When every alphabet label is a single
+character (the default numeric labels up to size 10), each line is a
+contiguous string of symbols; otherwise one token per line.  An inferred
+alphabet holds the characters present other than whitespace.
+Real-valued files hold one value per line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import coding, estimators, realvalued, testing
 from .estimators import MarkovSource, r_log2prob
-from .seqmodel import Alphabet, MultiSample, SymbolSeq
+from .seqmodel import Alphabet, MultiSample, SymbolSeq, _code_points
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -61,7 +63,7 @@ def _char_mode(alphabet: Alphabet) -> bool:
 
 
 def _read_blocks(path: str) -> list[list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     blocks: list[list[str]] = []
     cur: list[str] = []
@@ -82,8 +84,9 @@ def _read_symbols(path: str, alphabet: Alphabet | None):
     blocks = _read_blocks(path)
     if alphabet is None or _char_mode(alphabet):
         blocks = ["".join(block) for block in blocks]  # a str iterates its characters
-    if alphabet is None:
-        alphabet = Alphabet(tuple(sorted(set().union(*blocks))))
+    if alphabet is None:  # the characters present, whitespace left out
+        present = np.flatnonzero(np.bincount(_code_points("".join(blocks)))).tolist()
+        alphabet = Alphabet(tuple(c for c in map(chr, present) if not c.isspace()))
     samples = [SymbolSeq.from_labels(alphabet, tokens) for tokens in blocks]
     return MultiSample(samples) if len(samples) > 1 else samples[0], alphabet
 
@@ -95,7 +98,7 @@ def _parse_word(text: str, alphabet: Alphabet) -> list[int]:
 
 def _read_reals(path: str) -> np.ndarray:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:

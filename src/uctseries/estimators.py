@@ -798,7 +798,7 @@ class MarkovSource:
 
     @classmethod
     def from_file(cls, path) -> "MarkovSource":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.from_text(fh.read())
 
     def to_text(self) -> str:

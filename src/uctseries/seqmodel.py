@@ -84,11 +84,28 @@ class Alphabet:
     def _index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
+    @cached_property
+    def _by_code_point(self) -> np.ndarray | None:
+        """Symbol index of each code point up to the labels' highest, -1
+        for the others and at the one past it; None unless every label is
+        one character."""
+        if any(len(label) != 1 for label in self.labels):
+            return None
+        points = [ord(label) for label in self.labels]
+        table = np.full(max(points) + 2, -1, dtype=np.int64)
+        table[points] = np.arange(self.size)
+        return table
+
     def index(self, label: str) -> int:
         try:
             return self._index[label]
         except KeyError:
             raise AlphabetMismatchError(f"unknown symbol label {label!r}") from None
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of `text`, one uint32 each."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 def _check_same_alphabet(a: Alphabet, b: Alphabet) -> None:
@@ -119,7 +136,25 @@ class SymbolSeq:
         return np.array([self.symbols.size], dtype=np.int64)
 
     @classmethod
+    def _of_checked(cls, alphabet: Alphabet, symbols: np.ndarray) -> "SymbolSeq":
+        """A sequence around int64 `symbols` already known to lie in range."""
+        seq = cls.__new__(cls)
+        seq.alphabet, seq.symbols = alphabet, symbols
+        return seq
+
+    @classmethod
     def from_labels(cls, alphabet: Alphabet, tokens) -> "SymbolSeq":
+        """The sequence of the labels `tokens`.  A str over one-character
+        labels is mapped by its code points in one table lookup; other
+        tokens are looked up one at a time."""
+        table = alphabet._by_code_point if isinstance(tokens, str) else None
+        if table is not None:
+            # code points past the table clip to its last entry, -1
+            symbols = table.take(_code_points(tokens).astype(np.int64), mode="clip")
+            if symbols.size and symbols.min() < 0:
+                bad = tokens[int(np.argmax(symbols < 0))]
+                raise AlphabetMismatchError(f"unknown symbol label {bad!r}")
+            return cls._of_checked(alphabet, symbols)
         index = alphabet._index
         try:
             symbols = [index[t] for t in tokens]
@@ -158,7 +193,9 @@ class MultiSample:
 
     @property
     def samples(self) -> list[SymbolSeq]:
-        return [SymbolSeq(self.alphabet, arr) for arr in as_sample_arrays(self)[1]]
+        """Views of the flat array, one per sample."""
+        return [SymbolSeq._of_checked(self.alphabet, arr)
+                for arr in as_sample_arrays(self)[1]]
 
     @property
     def total_length(self) -> int:

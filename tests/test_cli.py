@@ -67,6 +67,37 @@ class TestEstimate:
         assert rep["lengths"] == [4, 2]
         assert 0 < rep["query"]["prob"] < 1
 
+    def test_byte_order_mark_is_not_a_symbol(self, capsys, tmp_path):
+        f = tmp_path / "bom.txt"
+        f.write_bytes("\ufeff0101\n".encode("utf-8"))
+        code, rep, _ = run(capsys, "estimate", "--in", f)
+        assert code == 0
+        assert rep["alphabet"] == ["0", "1"] and rep["lengths"] == [4]
+
+    def test_crlf_and_bom_give_the_plain_report(self, capsys):
+        # tests/data/mixed_crlf_bom.txt is mixed.txt with CRLF line ends
+        # and a byte order mark
+        assert (DATA / "mixed_crlf_bom.txt").read_bytes() == (
+            b"\xef\xbb\xbf" + (DATA / "mixed.txt").read_bytes().replace(b"\n", b"\r\n"))
+        plain = run(capsys, "estimate", "--in", DATA / "mixed.txt")
+        assert run(capsys, "estimate", "--in", DATA / "mixed_crlf_bom.txt") == plain
+
+    @pytest.mark.parametrize("alphabet", [[], ["--alphabet", "2"]])
+    def test_whitespace_inside_a_line_is_not_a_symbol(self, capsys, tmp_path, alphabet):
+        f = tmp_path / "spaces.txt"
+        f.write_text(" 01 10 \n")
+        code, rep, err = run(capsys, "estimate", "--in", f, *alphabet)
+        assert code == 3 and rep is None
+        assert json.loads(err)["detail"] == "unknown symbol label ' '"
+
+    def test_inferred_alphabet_in_code_point_order(self, capsys, tmp_path):
+        f = tmp_path / "letters.txt"
+        f.write_text("ba\u00e9\n\n\U0001f600a\n")
+        code, rep, _ = run(capsys, "estimate", "--in", f)
+        assert code == 0
+        assert rep["alphabet"] == ["a", "b", "\u00e9", "\U0001f600"]
+        assert rep["lengths"] == [3, 2]
+
 
 class TestPredict:
     def test_conditionals_sum_to_one(self, capsys):
@@ -194,6 +225,14 @@ class TestIdentityCommand:
         assert code == 1
         assert rep["verdict"] == "reject"
 
+    def test_byte_order_mark_in_null_is_skipped(self, capsys, tmp_path):
+        null = tmp_path / "null.txt"
+        null.write_bytes(b"\xef\xbb\xbf" + (DATA / "uniform_null.txt").read_bytes())
+        argv = ["test-identity", "--in", DATA / "alternating.txt", "--null"]
+        plain = run(capsys, *argv, DATA / "uniform_null.txt")
+        assert plain[0] == 1
+        assert run(capsys, *argv, null) == plain
+
     def test_null_required(self, capsys):
         code, _, err = run(
             capsys, "test-identity", "--in", DATA / "mixed.txt"
@@ -305,6 +344,14 @@ class TestDensityCommand:
         assert code == 0
         assert rep["n"] == 400
         assert rep["bits_per_value"] < 0.5
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + (DATA / "uniform_reals.csv").read_bytes())
+        plain = run(capsys, "density", "--in", DATA / "uniform_reals.csv",
+                    "--domain", "0:1", "--depth", "4")
+        assert plain[0] == 0
+        assert run(capsys, "density", "--in", f, "--domain", "0:1", "--depth", "4") == plain
 
     def test_renormalize_flag_lowers_bits(self, capsys):
         _, plain, _ = run(

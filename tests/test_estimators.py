@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from itertools import product
 from math import lgamma, log2
 from pathlib import Path
@@ -683,6 +685,41 @@ class TestLog2ProbPair:
         assert cli.main(["estimate", "--in", str(data), *argv[1:]]) == 0
         assert json.loads(capsys.readouterr().out)["query"]["word"] == argv[2]
         assert [args[3] for args in counted] == list(range(orders))
+
+
+def test_batch_mixtures_from_concurrent_threads_match_serial_calls():
+    # threads counting different inputs at once, more of them than cores
+    # and switching often, must not see each other's state
+    rng = np.random.default_rng(7)
+    inputs = [_as_x(Alphabet.of_size(size), [rng.integers(0, size, n) for n in lengths])
+              for size, lengths in [(2, (20000,)), (4, (3000,) * 8), (3, (5000, 0, 7, 900)),
+                                    (256, (4000, 4000))]]
+    orders = [inputs[k:] + inputs[:k] for k in range(4)]
+
+    def calls(xs):
+        return [(r_log2prob(x), estimators._r_log2prob_pair(x, [0, 1]),
+                 final_conditional(x)[1], final_conditional(x)[0].tolist()) for x in xs]
+
+    serial = [calls(xs) for xs in orders]
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def worker(k):
+        start.wait()
+        results[k] = calls(orders[k])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
 
 
 def test_peak_memory_of_large_alphabet_stays_small(child_peak_kib):

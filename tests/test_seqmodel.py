@@ -97,6 +97,47 @@ class TestSymbolSeq:
         assert s.symbols.tolist() == [0, 1, 1]
 
 
+# characters for labels and text: non-ASCII, above the BMP, CR and LF,
+# a space and a byte order mark
+_CHARS = ["0", "1", "a", "\u00e9", "\u4e2d", "\U0001f600", "\r", "\n", " ", "\ufeff"]
+
+
+class TestFromLabels:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_str_matches_one_lookup_per_character(self, data):
+        labels = data.draw(st.lists(st.sampled_from(_CHARS), min_size=1, unique=True))
+        alphabet = Alphabet(tuple(labels))
+        # runs of labels and CRLF pairs, then maybe more text with any character
+        pieces = data.draw(st.lists(st.sampled_from(labels + ["\r\n"]), max_size=30))
+        tail = data.draw(st.lists(st.sampled_from(_CHARS), max_size=3))
+        text = "".join(pieces + tail)
+        try:
+            expected = [alphabet.index(c) for c in text]
+        except AlphabetMismatchError as exc:
+            with pytest.raises(AlphabetMismatchError) as raised:
+                SymbolSeq.from_labels(alphabet, text)
+            assert str(raised.value) == str(exc)  # names the first unknown character
+            return
+        x = SymbolSeq.from_labels(alphabet, text)
+        assert x.symbols.dtype == np.int64 and x.symbols.tolist() == expected
+        assert SymbolSeq.from_labels(alphabet, list(text)).symbols.tolist() == expected
+
+    def test_empty_str(self):
+        x = SymbolSeq.from_labels(Alphabet(("\U0001f600",)), "")
+        assert x.symbols.dtype == np.int64 and len(x) == 0
+
+    def test_error_names_the_first_unknown_character(self):
+        with pytest.raises(AlphabetMismatchError, match=r"^unknown symbol label '\\r'$"):
+            SymbolSeq.from_labels(BINARY, "01\r\n2")
+
+    def test_str_over_multi_character_labels_is_read_per_character(self):
+        alphabet = Alphabet(("a", "bc"))
+        assert SymbolSeq.from_labels(alphabet, "aa").symbols.tolist() == [0, 0]
+        with pytest.raises(AlphabetMismatchError, match="unknown symbol label 'b'"):
+            SymbolSeq.from_labels(alphabet, "abc")
+
+
 class TestMultiSample:
     def test_requires_shared_alphabet(self):
         other = Alphabet(("x", "y"))
@@ -135,6 +176,13 @@ class TestMultiSample:
         assert ext.symbols.tolist() == symbols and ext.lengths.tolist() == lengths
         with pytest.raises(ValueError):
             x.extended([0, 2])
+
+    def test_samples_are_views_of_the_flat_array(self):
+        ms = multi("0110", "", "1", "00")
+        samples, arrays = ms.samples, as_sample_arrays(ms)[1]
+        assert [s.symbols.tolist() for s in samples] == [a.tolist() for a in arrays]
+        assert all(s.alphabet == BINARY for s in samples)
+        assert all(np.shares_memory(s.symbols, ms.symbols) for s in samples if len(s))
 
     def test_copies_its_samples(self):
         s = seq("0110")
@@ -330,6 +378,18 @@ class TestWindowCountKernel:
         assert counts.context.tolist() == [sum(c) for c in contexts.values()]
         runs = [len(c) for c in contexts.values()]
         assert counts.starts.tolist() == np.cumsum([0] + runs)[:-1].tolist()
+
+    def test_later_counts_leave_earlier_results_unchanged(self):
+        x = multi("0110100111", "1001", "01101")
+        before = [window_counts(x, m) for m in range(5)]
+        copies = [[field.copy() for field in counts] for counts in before]
+        r_log2prob(x)
+        final_conditional(x)
+        after = [window_counts(x, m) for m in range(5)]
+        for counts, kept, again in zip(before, copies, after):
+            assert all(np.array_equal(a, b) for a, b in zip(counts, kept))
+            assert all(np.array_equal(a, b) for a, b in zip(counts, again))
+            assert not np.shares_memory(counts.codes, again.codes)
 
     def test_numpy_integer_order(self):
         x = multi("0110100", "10")
