@@ -24,6 +24,7 @@ from .seqmodel import (
     AlphabetMismatchError,
     SymbolSeq,
     WindowCounts,
+    _coerce_word,
     _count,
     _layout,
     as_sample_arrays,
@@ -608,23 +609,19 @@ class MarkovSource:
     def uniform(cls, alphabet: Alphabet) -> "MarkovSource":
         return cls.iid(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
 
-    def _context_index(self, ctx) -> int:
-        return _ctx_index(ctx, self.alphabet.size)
-
     def _stationary(self) -> np.ndarray:
         size = self.alphabet.size
         n = size ** self.order
         if self.order == 0:
             return np.ones(1)
+        # column v moves context v to v * |A| % n + a with probability table[v, a]
+        v = np.arange(n)
         trans = np.zeros((n, n))
-        for v in range(n):
-            nxt = (v * size) % n
-            for a in range(size):
-                trans[nxt + a, v] += self.table[v, a]
+        trans[(v * size % n)[:, None] + np.arange(size), v[:, None]] = self.table
         vals, vecs = np.linalg.eig(trans)
         k = int(np.argmin(np.abs(vals - 1.0)))
         pi = np.real(vecs[:, k])
-        pi = np.clip(pi, 0.0, None)
+        pi = np.clip(pi * np.sign(pi.sum()), 0.0, None)  # eig may return -pi
         if pi.sum() <= 0:
             pi = np.ones(n)
         return pi / pi.sum()
@@ -637,11 +634,8 @@ class MarkovSource:
         if n == 0:
             return np.zeros(1)
         if n <= self.order:
-            p = self.initial.reshape([size] * self.order)
-            axes = tuple(range(n, self.order))
-            marg = p.sum(axis=axes) if axes else p
             with np.errstate(divide="ignore"):
-                return np.log2(marg.reshape(-1))
+                return np.log2(self.initial.reshape(size ** n, -1).sum(axis=1))
         with np.errstate(divide="ignore"):
             logp = np.log2(self.initial)
             logt = np.log2(self.table)
@@ -653,34 +647,33 @@ class MarkovSource:
         return logp
 
     def log2prob(self, x) -> LogProb:
-        """Exact log2 probability; independent samples multiply."""
-        alphabet, samples = as_sample_arrays(x)
-        if alphabet.size != self.alphabet.size:
+        """Exact log2 probability; independent samples multiply.
+
+        The first min(t, order) symbols of a sample are priced by the
+        marginal of `initial`, and each later symbol by the table entry at
+        the code of its (order+1)-window, context * |A| + symbol.  The
+        kernel renames codes by rank only past |A|^(order+1) = 2^62, and
+        no table that large fits in memory, so the codes index it directly.
+        """
+        size, flat, lengths = _layout(x)
+        if size != self.alphabet.size:
             raise AlphabetMismatchError("sequence alphabet size differs from source")
-        total = 0.0
-        size = self.alphabet.size
         with np.errstate(divide="ignore"):
-            logt = np.log2(self.table)
-        for arr in samples:
-            t = arr.size
+            logt = np.log2(self.table).reshape(-1)
+        total = float(logt[_count(flat, lengths, size, self.order).codes].sum())
+        for start, t in zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
             head = min(t, self.order)
             if head:
                 blocks = self._block_log2probs(head)
-                total += float(blocks[self._context_index(arr[:head])])
-            if t > self.order:
-                m = self.order
-                if m:
-                    powers = size ** np.arange(m - 1, -1, -1, dtype=np.int64)
-                    ctx = np.lib.stride_tricks.sliding_window_view(arr[:-1], m) @ powers
-                else:
-                    ctx = np.zeros(t, dtype=np.int64)
-                total += float(logt[ctx, arr[m:]].sum())
+                total += float(blocks[_ctx_index(flat[start:start + head], size)])
         return total
 
     def conditional(self, ctx) -> np.ndarray:
         """Next-symbol distribution given at least `order` trailing symbols."""
-        ctx = list(ctx)[-self.order:] if self.order else []
-        return self.table[self._context_index(ctx)]
+        ctx = _coerce_word(self.alphabet, ctx)
+        if ctx.size < self.order:
+            raise ValueError(f"a context needs {self.order} symbols, got {ctx.size}")
+        return self.table[_ctx_index(ctx[ctx.size - self.order:], self.alphabet.size)]
 
     # -- sampling
 

@@ -865,10 +865,87 @@ class TestMarkovSource:
         again = MarkovSource.from_text(src.to_text())
         assert np.allclose(again.initial, [0.9, 0.1])
 
+    def test_conditional_reads_the_last_order_symbols(self):
+        src = MarkovSource(BINARY, 2, [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.6, 0.4]])
+        assert src.conditional([1, 0]).tolist() == [0.7, 0.3]
+        assert src.conditional(np.array([0, 1, 1])).tolist() == [0.6, 0.4]
+        for short in ([], [1]):
+            with pytest.raises(ValueError, match="needs 2 symbols"):
+                src.conditional(short)
+        for outside in ([0, 3], [5, 7], [-1, 0], [2, 0, 1]):
+            with pytest.raises(AlphabetMismatchError):
+                src.conditional(outside)
+        assert MarkovSource.iid(BINARY, [0.7, 0.3]).conditional([]).tolist() == [0.7, 0.3]
+
     def test_file_rejects_bad_rows(self):
         bad = "alphabet 2\norder 0\n0.5 0.6\n"
         with pytest.raises(ValueError):
             MarkovSource.from_text(bad)
+
+
+def brute_source_log2prob(src, samples):
+    """Independent oracle: each sample's head priced by the sum of the
+    `initial` entries of every context that begins with it, and each later
+    symbol by `conditional` of its `order` predecessors."""
+    size, order = src.alphabet.size, src.order
+    total = 0.0
+    for s in samples:
+        head = min(len(s), order)
+        probs = [src.conditional(s[i - order:i])[s[i]] for i in range(order, len(s))]
+        if head:
+            probs.append(sum(src.initial[v] for v in range(size ** order)
+                             if [v // size ** (order - 1 - j) % size for j in range(head)]
+                             == list(s[:head])))
+        total += sum(log2(p) if p > 0 else -math.inf for p in probs)
+    return total
+
+
+@st.composite
+def _source_cases(draw):
+    """(source, samples): alphabets 1-4, orders 0-3, tables with and
+    without zero entries, and samples that are empty, shorter than the
+    order or longer, drawn uniformly or from the source itself."""
+    size = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = rng.dirichlet(np.ones(size), size=size ** order)
+    if draw(st.booleans()):  # zero entries; each row keeps its largest
+        table[(rng.random(table.shape) < 0.5) & (table < table.max(1, keepdims=True))] = 0.0
+        table /= table.sum(1, keepdims=True)
+    src = MarkovSource(Alphabet.of_size(size), order, table)
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 20]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        return src, [src.sample(t, rng).symbols.tolist() for t in lengths]
+    return src, [draw(st.lists(st.integers(0, size - 1), min_size=t, max_size=t))
+                 for t in lengths]
+
+
+class TestMarkovSourceOracle:
+    """log2prob and the stationary `initial` against brute force."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_source_cases())
+    def test_log2prob_matches_brute_force(self, case):
+        src, samples = case
+        want = brute_source_log2prob(src, samples)
+        assert src.log2prob(_as_x(src.alphabet, samples)) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_source_cases())
+    def test_initial_is_stationary(self, case):
+        src, _ = case
+        step = (src.initial[:, None] * src.table).reshape(src.alphabet.size, -1).sum(0)
+        np.testing.assert_allclose(step, src.initial, rtol=0, atol=1e-12)
+
+    def test_zero_entries_give_minus_infinity(self):
+        # state 0 absorbs, so the stationary head never starts with 1
+        src = MarkovSource(BINARY, 1, [[1.0, 0.0], [0.5, 0.5]])
+        assert src.initial.tolist() == [1.0, 0.0]
+        assert src.log2prob(seq("000")) == 0.0
+        assert src.log2prob(multi("00", "", "0")) == 0.0
+        for x in (seq("1"), seq("01"), multi("00", "10"), multi("", "001")):
+            assert src.log2prob(x) == -math.inf
 
 
 class TestAvgKlError:

@@ -49,6 +49,8 @@ CASES = {
     "identity_mixed_alpha03": (
         ["test-identity", "--in", "mixed.txt", "--null", "uniform_null.txt",
          "--alpha", "0.3"], 1),
+    "identity_two_samples_sticky": (
+        ["test-identity", "--in", "two_samples.txt", "--null", "sticky_null.txt"], 1),
     "montecarlo_partition_si": (
         ["montecarlo", "--test", "partition-si", "--trials", "20", "--length", "400",
          "--depth", "6", "--seed", "3"], 0),
