@@ -13,9 +13,10 @@ always <= 0, -inf for zero); sums of probabilities go through
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .seqmodel import (
     _coerce_word,
     _count,
     _layout,
+    _window_codes,
     as_sample_arrays,
     window_counts,
 )
@@ -575,6 +577,10 @@ def _checked_initial(initial: np.ndarray) -> np.ndarray:
     return initial
 
 
+# Uniform draws that `MarkovSource.sample` turns into Python floats at a time.
+_SAMPLE_CHUNK = 4096
+
+
 class MarkovSource:
     """A fully specified source of finite Markov order over a finite alphabet.
 
@@ -660,7 +666,7 @@ class MarkovSource:
             raise AlphabetMismatchError("sequence alphabet size differs from source")
         with np.errstate(divide="ignore"):
             logt = np.log2(self.table).reshape(-1)
-        total = float(logt[_count(flat, lengths, size, self.order).codes].sum())
+        total = float(logt[_window_codes(flat, lengths, size, self.order)[0]].sum())
         for start, t in zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()):
             head = min(t, self.order)
             if head:
@@ -677,7 +683,25 @@ class MarkovSource:
 
     # -- sampling
 
+    @cached_property
+    def _cum_rows(self) -> list[list[float]]:
+        """Each row's cumulative sums without its total, read once from `table`.
+
+        A uniform draw u takes the symbol bisect_right(row, u), so a draw
+        at or above the last kept sum, the rounded total included, takes
+        the last symbol.
+        """
+        return self.table.cumsum(axis=1)[:, :-1].tolist()
+
     def sample(self, t: int, rng) -> SymbolSeq:
+        """t symbols: the head from `initial`, then one uniform draw per symbol.
+
+        Past the head, symbol i is the bisection of draw i - order in the
+        cumulative row of its context.  The draws are one float64 array,
+        read in chunks of `_SAMPLE_CHUNK` as Python floats.
+        """
+        if t < 0:
+            raise ValueError(f"sample length t must be nonnegative, got {t}")
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         size = self.alphabet.size
         out = np.empty(t, dtype=np.int64)
@@ -691,13 +715,16 @@ class MarkovSource:
         n_head = min(t, self.order)
         out[:n_head] = head[:n_head]
         mod = size ** self.order
-        cum_rows = [row.cumsum().tolist() for row in self.table]
-        u = rng.random(max(t - self.order, 0)).tolist()
-        for i in range(self.order, t):
-            a = bisect.bisect_right(cum_rows[ctx], u[i - self.order])
-            a = min(a, size - 1)  # guard against cumulative rounding at 1.0
-            out[i] = a
-            ctx = (ctx * size + a) % mod
+        cum_rows = self._cum_rows
+        u = rng.random(max(t - self.order, 0))
+        for lo in range(0, u.size, _SAMPLE_CHUNK):
+            chunk = []
+            append = chunk.append
+            for draw in u[lo:lo + _SAMPLE_CHUNK].tolist():
+                a = bisect_right(cum_rows[ctx], draw)
+                append(a)
+                ctx = (ctx * size + a) % mod
+            out[self.order + lo:self.order + lo + len(chunk)] = chunk
         return SymbolSeq(self.alphabet, out)
 
     # -- entropy rates

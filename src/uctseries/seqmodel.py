@@ -287,12 +287,30 @@ def window_counts(x, m: int) -> WindowCounts:
 
 def _count(flat: np.ndarray, lengths: np.ndarray, size: int, m: int) -> WindowCounts:
     """window_counts of the samples of `lengths` symbols laid end to end in `flat`."""
+    codes, bound = _window_codes(flat, lengths, size, m)
+    if not codes.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return WindowCounts(empty, empty, empty, empty, empty)
+    if bound <= _TALLY_RATIO * codes.size:
+        tally = np.bincount(codes, minlength=bound)
+        windows = np.flatnonzero(tally)
+        pair = tally[windows]
+    else:
+        windows, pair = np.unique(codes, return_counts=True)
+    ctx = windows // size
+    starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))
+    return WindowCounts(codes, windows, pair, np.add.reduceat(pair, starts), starts)
+
+
+def _window_codes(flat: np.ndarray, lengths: np.ndarray, size: int,
+                  m: int) -> tuple[np.ndarray, int]:
+    """Code of every (m+1)-window inside a sample, sample after sample, and
+    a bound above every code: the `codes` of `_count`, without its tally."""
     if m < 0:
         raise ValueError("order must be nonnegative")
     n = flat.size - m  # windows starting at every position, boundaries included
-    empty = np.zeros(0, dtype=np.int64)
     if n <= 0:
-        return WindowCounts(empty, empty, empty, empty, empty)
+        return np.zeros(0, dtype=np.int64), size
     # codes[i] is the code, below `bound`, of the `length` symbols from i.
     # The length follows the binary digits of m from the top: it doubles
     # at each further digit and grows by one symbol at each 1, which makes
@@ -324,17 +342,7 @@ def _count(flat: np.ndarray, lengths: np.ndarray, size: int, m: int) -> WindowCo
         keep = np.repeat(np.tile([True, False], lengths.size),
                          np.column_stack([lengths - tail, tail]).ravel())
         codes = codes[keep[:n]]
-    if not codes.size:
-        return WindowCounts(empty, empty, empty, empty, empty)
-    if bound <= _TALLY_RATIO * codes.size:
-        tally = np.bincount(codes, minlength=bound)
-        windows = np.flatnonzero(tally)
-        pair = tally[windows]
-    else:
-        windows, pair = np.unique(codes, return_counts=True)
-    ctx = windows // size
-    starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))
-    return WindowCounts(codes, windows, pair, np.add.reduceat(pair, starts), starts)
+    return codes, bound
 
 
 def _ranked(codes: np.ndarray) -> tuple[np.ndarray, int]:

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from bisect import bisect_right
 from itertools import product
 from math import lgamma, log2
 from pathlib import Path
@@ -946,6 +947,87 @@ class TestMarkovSourceOracle:
         assert src.log2prob(multi("00", "", "0")) == 0.0
         for x in (seq("1"), seq("01"), multi("00", "10"), multi("", "001")):
             assert src.log2prob(x) == -math.inf
+
+
+def loop_sample(src, t, rng):
+    """Oracle: a per-symbol loop over one Python float per draw, with each
+    row's cumulative sums rebuilt on every call."""
+    size, order = src.alphabet.size, src.order
+    out = np.empty(t, dtype=np.int64)
+    if t == 0:
+        return out
+    if order == 0:
+        out[:] = rng.choice(size, size=t, p=src.table[0])
+        return out
+    ctx = int(rng.choice(src.initial.size, p=src.initial))
+    head = [ctx // size ** (order - 1 - j) % size for j in range(order)]
+    n_head = min(t, order)
+    out[:n_head] = head[:n_head]
+    mod = size ** order
+    cum_rows = [row.cumsum().tolist() for row in src.table]
+    u = rng.random(max(t - order, 0)).tolist()
+    for i in range(order, t):
+        a = bisect_right(cum_rows[ctx], u[i - order])
+        a = min(a, size - 1)  # guard against cumulative rounding at 1.0
+        out[i] = a
+        ctx = (ctx * size + a) % mod
+    return out
+
+
+class TestSampleOracle:
+    """`sample` against the per-symbol loop: the same symbols from the same
+    draws, and the generator left in the same state, since callers such as
+    `avg_kl_error` share one generator across calls."""
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
+    def test_same_stream_as_the_loop(self, size, order, zeros):
+        table_rng = np.random.default_rng(1000 * size + 10 * order + zeros)
+        table = table_rng.dirichlet(np.ones(size), size=size ** order)
+        if zeros:  # each row keeps its largest entry
+            table[(table_rng.random(table.shape) < 0.5)
+                  & (table < table.max(1, keepdims=True))] = 0.0
+            table /= table.sum(1, keepdims=True)
+        src = MarkovSource(Alphabet.of_size(size), order, table)
+        chunk = estimators._SAMPLE_CHUNK
+        lengths = [0, 1, order, order + 1, order + chunk - 1, order + chunk,
+                   order + chunk + 1, order + 2 * chunk + 7]
+        rng, oracle_rng = np.random.default_rng(size + order), np.random.default_rng(size + order)
+        for t in lengths:  # one generator across the calls
+            x = src.sample(t, rng)
+            assert x.alphabet is src.alphabet
+            assert x.symbols.dtype == np.int64
+            assert x.symbols.tolist() == loop_sample(src, t, oracle_rng).tolist(), t
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, t
+
+    def test_seed_argument_is_the_same_stream(self):
+        src = MarkovSource(BINARY, 2, [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.3, 0.7]])
+        assert (src.sample(300, 7).symbols
+                == loop_sample(src, 300, np.random.default_rng(7))).all()
+
+    def test_draw_above_a_rounded_row_total_takes_the_last_symbol(self):
+        # rows within the 1e-9 tolerance whose sums fall short of 1, so a
+        # draw may land above a row's total; random draws almost never do
+        a3 = Alphabet.of_size(3)
+        src = MarkovSource(a3, 1, [[0.5, 0.25, 0.2499999995], [0.1, 0.1, 0.8],
+                                   [0.2, 0.3, 0.4999999995]])
+        for ctx, row in enumerate(src.table):
+            total = row.cumsum()[-1]
+            for draw in (total, np.nextafter(1.0, 0.0)):
+                assert bisect_right(src._cum_rows[ctx], draw) == 2
+        ten = MarkovSource(Alphabet.of_size(10), 1, np.full((10, 10), 0.1))
+        assert ten.table[0].cumsum()[-1] < 1.0  # ten 0.1s add up short of 1
+        assert bisect_right(ten._cum_rows[0], np.nextafter(1.0, 0.0)) == 9
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_negative_length_is_a_value_error(self, order):
+        src = MarkovSource(BINARY, order, np.full((2 ** order, 2), 0.5))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample length t .* got -1"):
+            src.sample(-1, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestAvgKlError:

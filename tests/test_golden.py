@@ -54,6 +54,13 @@ CASES = {
     "montecarlo_partition_si": (
         ["montecarlo", "--test", "partition-si", "--trials", "20", "--length", "400",
          "--depth", "6", "--seed", "3"], 0),
+    # one generator spans every trial, so these pin the sampled stream
+    "montecarlo_kl_sticky": (
+        ["montecarlo", "--test", "kl-redundancy", "--source", "sticky_null.txt",
+         "--trials", "20", "--length", "300", "--seed", "5"], 0),
+    "montecarlo_identity_sticky": (
+        ["montecarlo", "--test", "identity", "--null", "uniform_null.txt",
+         "--source", "sticky_null.txt", "--trials", "40", "--length", "64"], 1),
     "density_uniform": (
         ["density", "--in", "uniform_reals.csv", "--domain", "0:1", "--depth", "4"], 0),
     "density_uniform_depth20": (
