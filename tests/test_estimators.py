@@ -32,6 +32,7 @@ from uctseries.estimators import (
     r_log2prob,
     side_info_cond_log2probs,
 )
+from uctseries.realvalued import Partition, sign_process_generate
 from uctseries.seqmodel import (
     Alphabet,
     AlphabetMismatchError,
@@ -209,6 +210,18 @@ class TestKt:
         assert max(arr.count(0), arr.count(1)) > estimators._LGAMMA_TABLE_CAP
         for m in (0, 1, 3):
             assert kt_log2prob(x, m) == pytest.approx(brute_kt([arr], m, 2), abs=1e-9)
+
+    def test_counts_past_table_cap_pinned(self, monkeypatch):
+        # exact values from cold tables, where the order-0 counts and the
+        # depth-s context counts pass the log-gamma table cap
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        rng = np.random.default_rng(37)
+        x = SymbolSeq(BINARY, (rng.random(80_000) < 0.05).astype(np.int64))
+        assert r_log2prob(x) == float.fromhex("-0x1.68bc2a698dd2bp+14")
+        values = sign_process_generate(0.4, 70_000, seed=11)
+        levels = Partition(-1.0, 1.0, 20).levels(values)
+        assert r_log2prob(levels[8], 2) == float.fromhex("-0x1.0f821205656ffp+19")
+        assert r_log2prob(levels[20], 2) == float.fromhex("-0x1.55cc0aa6d4cb4p+20")
 
 
 class TestLgammaCounts:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uctseries import realvalued
+from uctseries import estimators, realvalued
 from uctseries.estimators import order_weight
 from uctseries.realvalued import (
     MAX_DEPTH,
@@ -181,6 +181,16 @@ class TestDensityEstimate:
         xs = rng.uniform(0, 1, size=20_000)
         bits = -density_log2(xs, 0.0, 1.0, max_depth=4) / xs.size
         assert bits == pytest.approx(0.0, abs=0.05)
+
+    def test_counts_past_table_cap_pinned(self, monkeypatch):
+        # exact values from cold log-gamma tables; the order-0 context
+        # count of every depth passes the table cap
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        xs = sign_process_generate(0.4, 70_000, seed=11)
+        assert density_log2(xs, -1.0, 1.0, 8) == float.fromhex("-0x1.014022aeb418dp+15")
+        assert density_log2(xs, -1.0, 1.0, 20) == float.fromhex("-0x1.014022aeb418dp+15")
+        assert density_log2(xs, -1.0, 1.0, 20, renormalize=True) == float.fromhex(
+            "-0x1.013f6a251fb4ap+15")
 
     def test_out_of_domain(self):
         for max_depth in (0, 2):
