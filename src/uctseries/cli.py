@@ -16,6 +16,7 @@ Real-valued files hold one value per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -97,17 +98,24 @@ def _parse_word(text: str, alphabet: Alphabet) -> list[int]:
 
 
 def _read_reals(path: str) -> np.ndarray:
-    values = []
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected one real value, got {line!r}") from None
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    try:  # float() ignores the whitespace around a value
+        return np.array(list(map(float, lines)))
+    except ValueError:  # a blank line, or a bad value to name
+        pass
+    values = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected one real value, got {line!r}") from None
     return np.asarray(values)
 
 
@@ -483,6 +491,7 @@ _COMMANDS = [
 ]
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="uctseries", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

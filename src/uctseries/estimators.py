@@ -99,28 +99,32 @@ _NO_TABLE = np.empty(0)
 def _lgamma_counts(counts: np.ndarray, offset: float) -> np.ndarray:
     """ln Gamma(c + offset) for every nonnegative integer count c in `counts`.
 
-    Each value equals math.lgamma(c + offset).  Counts below the cap are
-    read from a table per offset, grown on demand (doubling) up to
-    _LGAMMA_TABLE_CAP entries; the few larger counts are evaluated one at
-    a time.
+    Each value equals math.lgamma(c + offset).  Counts below
+    _LGAMMA_TABLE_CAP are read from a table per offset, grown on demand
+    (doubling, up to the cap) only as far as the largest of them needs;
+    counts at or past the cap are evaluated one at a time and never grow
+    a table, so a single large count (such as an order-0 context count)
+    does not fill one.
     """
     table = _lgamma_tables.get(offset, _NO_TABLE)
     try:
         return table[counts]
     except IndexError:  # a count past the table's end
         pass
-    top = int(counts.max())
-    if table.size < _LGAMMA_TABLE_CAP:
+    big = counts >= table.size
+    over = counts[big]
+    below_cap = over[over < _LGAMMA_TABLE_CAP]
+    if below_cap.size:
         if offset not in _lgamma_tables and len(_lgamma_tables) >= _LGAMMA_MAX_TABLES:
             _lgamma_tables.clear()
-        size = min(max(top + 1, 2 * table.size), _LGAMMA_TABLE_CAP)
-        grown = [math.lgamma(c + offset) for c in range(table.size, size)]
+        size = min(max(int(below_cap.max()) + 1, 2 * table.size), _LGAMMA_TABLE_CAP)
+        grown = np.fromiter(map(math.lgamma, (np.arange(table.size, size) + offset).tolist()),
+                            float, size - table.size)
         table = _lgamma_tables[offset] = np.concatenate([table, grown])
-        if top < size:
-            return table[counts]
-    big = counts >= table.size
-    out = table[np.where(big, 0, counts)]
-    out[big] = [math.lgamma(c + offset) for c in counts[big].tolist()]
+        big = counts >= table.size
+    out = np.empty(counts.shape)
+    out[~big] = table[counts[~big]]
+    out[big] = list(map(math.lgamma, (counts[big] + offset).tolist()))
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -402,6 +403,41 @@ class TestDensityCommand:
         assert error["error"] == "data" and detail in error["detail"]
 
 
+class TestReadReals:
+    @pytest.mark.parametrize("data", [
+        b"0.25\n-0.5\n1e-3\n",
+        b"0.25\n-0.5\n1e-3",
+        b"0.25\r\n-0.5\r\n1e-3\r\n",
+        b"0.25\r-0.5\r1e-3\r",
+        b"\xef\xbb\xbf0.25\r\n-0.5\r\n1e-3",
+        b"  0.25 \n\t-0.5\n1e-3  \r\n",
+        b"\n0.25\n\n-0.5\n   \n1e-3\n\n",
+    ], ids=["lf", "no-final-newline", "crlf", "cr", "bom-crlf", "padded", "blank-lines"])
+    def test_line_endings_padding_and_blank_lines(self, tmp_path, data):
+        f = tmp_path / "reals.csv"
+        f.write_bytes(data)
+        got = cli._read_reals(str(f))
+        assert got.dtype == float and got.tolist() == [0.25, -0.5, 1e-3]
+
+    def test_empty_file(self, tmp_path):
+        f = tmp_path / "reals.csv"
+        f.write_bytes(b"")
+        got = cli._read_reals(str(f))
+        assert got.dtype == float and got.shape == (0,)
+
+    @pytest.mark.parametrize("data, lineno, bad", [
+        (b"0.25\n\nx\n0.5\nbad\n", 3, "x"),
+        (b"0.25\r\r 1.5.2 \r0.5\r", 3, "1.5.2"),
+        (b"\xef\xbb\xbf0.25\r\n0.5,0.75\r\n", 2, "0.5,0.75"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, data, lineno, bad):
+        f = tmp_path / "reals.csv"
+        f.write_bytes(data)
+        named = re.escape(f"{f}:{lineno}: ") + ".*" + re.escape(repr(bad))
+        with pytest.raises(ValueError, match=named):
+            cli._read_reals(str(f))
+
+
 class TestMonteCarloCommand:
     def test_pool_failure_warns_and_runs_in_process(self, capsys, caplog, monkeypatch):
         args = ("montecarlo", "--test", "identity", "--trials", "16",
@@ -516,6 +552,17 @@ def test_out_of_range_option_is_usage_error(capsys, argv):
     code, rep, err = run(capsys, *argv)
     assert code == 2 and rep is None
     assert json.loads(err)["error"] == "usage"
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, "estimate", "--in", DATA / "two_samples.txt", "--query", "01")
+    # a usage error and other flags in between leave no state behind
+    assert run(capsys, "estimate", "--in", DATA / "mixed.txt", "--max-order", "-1")[0] == 2
+    assert run(capsys, "estimate", "--in", DATA / "mixed.txt", "--max-order", "2")[0] == 0
+    assert run(capsys, "estimate", "--in", DATA / "two_samples.txt", "--query", "01") == first
+    _, rep, _ = run(capsys, "estimate", "--in", DATA / "two_samples.txt")
+    assert "query" not in rep and rep["max_order"] == DEFAULT_MAX_EXPLICIT_ORDER
 
 
 class TestSubprocessEntry:

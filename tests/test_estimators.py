@@ -32,7 +32,7 @@ from uctseries.estimators import (
     r_log2prob,
     side_info_cond_log2probs,
 )
-from uctseries.realvalued import Partition, sign_process_generate
+from uctseries.realvalued import Partition, density_log2, sign_process_generate
 from uctseries.seqmodel import (
     Alphabet,
     AlphabetMismatchError,
@@ -242,6 +242,52 @@ class TestLgammaCounts:
         tables = estimators._lgamma_tables
         assert 0 < len(tables) <= estimators._LGAMMA_MAX_TABLES
         assert max(t.size for t in tables.values()) <= estimators._LGAMMA_TABLE_CAP
+
+    @staticmethod
+    def check(counts, offset):
+        counts = np.asarray(counts)
+        got = estimators._lgamma_counts(counts, offset)
+        assert got.tolist() == [lgamma(c + offset) for c in counts.tolist()]
+
+    def sizes(self):
+        return {k: t.size for k, t in estimators._lgamma_tables.items()}
+
+    def test_all_counts_past_cap_on_an_empty_table(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        cap = estimators._LGAMMA_TABLE_CAP
+        self.check([cap, 10**6, cap + 1], 0.5)
+        assert self.sizes() == {}
+
+    def test_counts_straddling_the_cap(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        cap = estimators._LGAMMA_TABLE_CAP
+        self.check([5, 10**6, 1000, cap, 0], 1.5)
+        assert self.sizes() == {1.5: 1001}  # the largest count below the cap
+        self.check([1500, 10**7], 1.5)
+        assert self.sizes() == {1.5: 2002}  # growth still doubles
+        self.check([40_000, cap, 17], 1.5)
+        assert self.sizes() == {1.5: 40_001}
+        self.check([cap - 1, 3 * cap], 1.5)
+        assert self.sizes() == {1.5: cap}
+
+    def test_a_count_past_cap_never_grows_a_table(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        cap = estimators._LGAMMA_TABLE_CAP
+        self.check([10, 3], 0.5)
+        for counts in ([cap], [10**6, 3], [cap + 7, 10, 0]):
+            self.check(counts, 0.5)
+            assert self.sizes() == {0.5: 11}
+        for counts in ([cap], [10**6, 2 * cap]):
+            self.check(counts, 1.0)
+            assert self.sizes() == {0.5: 11}
+
+    def test_cold_density_fills_small_tables(self, monkeypatch):
+        # order-0 and order-1 context counts at depth 8 pass the cap; before
+        # they stopped growing tables, this call filled 574k entries
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        xs = sign_process_generate(0.4, 100_000, seed=0)
+        density_log2(xs, -1.0, 1.0, 8)
+        assert sum(self.sizes().values()) <= 160_000
 
 
 class TestKtState:
