@@ -58,7 +58,7 @@ smooth = rng.random(4000)
 dependent = sign_process_generate(0.35, 4000, seed=9)
 rep = partition_meta_test(smooth, 0.05, kind="si", max_depth=4)
 print(f"  uniform i.i.d. reals: {rep.verdict} "
-      f"({rep.details['partitions_checked']} partitions checked)")
+      f"({len(rep.sub_reports)} partitions checked)")
 rep = partition_meta_test(dependent, 0.05, kind="si", max_depth=4,
                           domain=(-1.0, 1.0))
 print(f"  sign-correlated process: {rep.verdict} "

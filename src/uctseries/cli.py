@@ -49,14 +49,17 @@ class _Parser(argparse.ArgumentParser):
 # Input handling
 
 
-def _parse_alphabet(spec: str | None) -> Alphabet | None:
-    if spec is None:
-        return None
-    if "," in spec:
-        return Alphabet(tuple(tok.strip() for tok in spec.split(",")))
-    if spec.isdigit():
-        return Alphabet.of_size(int(spec))
-    raise ValueError(f"--alphabet must be a size or a comma-separated label list, got {spec!r}")
+def _parse_alphabet(spec: str) -> Alphabet:
+    """argparse type of --alphabet: a size or a comma-separated label list."""
+    try:
+        if "," in spec:
+            return Alphabet(tuple(tok.strip() for tok in spec.split(",")))
+        if spec.isdigit():
+            return Alphabet.of_size(int(spec))
+        raise ValueError("--alphabet must be a size or a comma-separated label list, "
+                         f"got {spec!r}")
+    except ValueError as exc:  # also repeated labels and size 0
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _char_mode(alphabet: Alphabet) -> bool:
@@ -120,12 +123,16 @@ def _read_reals(path: str) -> np.ndarray:
 
 
 def _parse_domain(spec: str) -> tuple[float, float]:
+    """argparse type of --domain: a:b with finite bounds, a < b."""
     try:
         lo, hi = spec.split(":")
         lo, hi = float(lo), float(hi)
     except ValueError:
-        raise ValueError(f"--domain must look like a:b, got {spec!r}") from None
-    realvalued.Partition(lo, hi, 0)  # finite bounds, lo < hi
+        raise argparse.ArgumentTypeError(f"--domain must look like a:b, got {spec!r}") from None
+    try:
+        realvalued.Partition(lo, hi, 0)  # finite bounds, lo < hi
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return lo, hi
 
 
@@ -180,7 +187,7 @@ def _emit(report: dict, args, to_stdout: bool = False) -> None:
 
 
 def cmd_estimate(args) -> int:
-    x, alphabet = _read_symbols(args.input, _parse_alphabet(args.alphabet))
+    x, alphabet = _read_symbols(args.input, args.alphabet)
     if args.query is None:
         lp = r_log2prob(x, args.max_order)
     else:  # one count per order, of x with the word: x is counted once
@@ -206,7 +213,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    x, alphabet = _read_symbols(args.input, _parse_alphabet(args.alphabet))
+    x, alphabet = _read_symbols(args.input, args.alphabet)
     report = {"command": "predict", "alphabet": list(alphabet.labels),
               "max_order": args.max_order}
     if args.input2:
@@ -235,7 +242,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    x, alphabet = _read_symbols(args.input, _parse_alphabet(args.alphabet))
+    x, alphabet = _read_symbols(args.input, args.alphabet)
     if isinstance(x, MultiSample):
         raise ValueError("compress takes a single sample (no blank-line separators)")
     if not args.out:
@@ -263,7 +270,7 @@ def cmd_decompress(args) -> int:
     with open(args.input, "rb") as fh:
         blob = fh.read()
     seq, header = coding.decompress_container(
-        blob, alphabet=_parse_alphabet(args.alphabet), max_explicit_order=args.max_order
+        blob, alphabet=args.alphabet, max_explicit_order=args.max_order
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_format_symbols(seq, seq.alphabet))
@@ -281,7 +288,7 @@ def cmd_test_identity(args) -> int:
     if not args.null:
         raise _UsageError("test-identity requires --null (source parameter file)")
     null = MarkovSource.from_file(args.null)
-    x, alphabet = _read_symbols(args.input, _parse_alphabet(args.alphabet))
+    x, alphabet = _read_symbols(args.input, args.alphabet)
     if alphabet.size != null.alphabet.size:
         raise ValueError("data alphabet size differs from the null model")
     report = testing.identity_test(x, null, args.alpha, _provider(args))
@@ -289,7 +296,7 @@ def cmd_test_identity(args) -> int:
 
 
 def cmd_test_independence(args) -> int:
-    x, _ = _read_symbols(args.input, _parse_alphabet(args.alphabet))
+    x, _ = _read_symbols(args.input, args.alphabet)
     report = testing.serial_independence_test(x, args.order, args.alpha,
                                               _provider(args))
     return _finish_test(report, args)
@@ -298,7 +305,7 @@ def cmd_test_independence(args) -> int:
 def cmd_density(args) -> int:
     if not args.domain:
         raise _UsageError("density requires --domain a:b")
-    lo, hi = _parse_domain(args.domain)
+    lo, hi = args.domain
     values = _read_reals(args.input)
     lp = realvalued.density_log2(
         values, lo, hi, max_depth=args.depth,
@@ -369,7 +376,7 @@ def cmd_montecarlo(args) -> int:
         "order": args.order,
         "depth": args.depth,
         "max_order": args.max_order,
-        "domain": _parse_domain(args.domain) if args.domain else (0.0, 1.0),
+        "domain": args.domain or (0.0, 1.0),
     }
     kind = args.test
     if kind == "kl-redundancy":
@@ -389,12 +396,12 @@ def cmd_montecarlo(args) -> int:
         return EXIT_OK
     if kind == "identity":
         null = (MarkovSource.from_file(args.null) if args.null
-                else MarkovSource.uniform(_parse_alphabet(args.alphabet or "2")))
+                else MarkovSource.uniform(args.alphabet or Alphabet.of_size(2)))
         cfg["null"] = null
         cfg["source"] = MarkovSource.from_file(args.source) if args.source else null
     elif kind == "independence":
         cfg["source"] = (MarkovSource.from_file(args.source) if args.source
-                         else MarkovSource.uniform(_parse_alphabet(args.alphabet or "2")))
+                         else MarkovSource.uniform(args.alphabet or Alphabet.of_size(2)))
     rejected = _run_pool(kind, cfg, args.trials)
     rate = float(np.mean(rejected)) if rejected else 0.0
     se = math.sqrt(args.alpha * (1 - args.alpha) / args.trials)
@@ -440,8 +447,8 @@ _DEPTH = _ranged(int, lambda v: 0 <= v <= realvalued.MAX_DEPTH,
 _FLAGS = {
     "--in": dict(dest="input", required=True, help="input data file"),
     "--in2": dict(dest="input2", help="side-information file"),
-    "--alphabet": dict(help="size or comma-separated symbol labels"),
-    "--domain": dict(help="real-valued domain a:b"),
+    "--alphabet": dict(type=_parse_alphabet, help="size or comma-separated symbol labels"),
+    "--domain": dict(type=_parse_domain, help="real-valued domain a:b"),
     "--order": dict(type=_ORDER, default=0, help="Markov order"),
     "--max-order": dict(dest="max_order", type=_ORDER,
                         default=estimators.DEFAULT_MAX_EXPLICIT_ORDER,

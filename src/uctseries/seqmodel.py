@@ -167,9 +167,9 @@ class SymbolSeq:
         return [labels[i] for i in self.symbols.tolist()]
 
     def extended(self, word) -> "SymbolSeq":
-        """New sequence with `word` (indices) appended."""
-        extra = np.asarray(word, dtype=np.int64).reshape(-1)
-        return SymbolSeq(self.alphabet, np.concatenate([self.symbols, extra]))
+        """New sequence with `word` (indices or a SymbolSeq) appended."""
+        extra = _coerce_word(self.alphabet, word)
+        return SymbolSeq._of_checked(self.alphabet, np.concatenate([self.symbols, extra]))
 
 
 class MultiSample:

@@ -21,7 +21,12 @@ from .estimators import (
     MarkovSource,
     order_weight,
 )
-from .realvalued import Partition, PiecewiseConstantDensity, _check_mixture_depth
+from .realvalued import (
+    DEFAULT_MAX_DEPTH,
+    Partition,
+    PiecewiseConstantDensity,
+    _check_mixture_depth,
+)
 from .seqmodel import _count, _layout
 
 __all__ = [
@@ -77,7 +82,6 @@ class TestReport:
     order: int | None
     lengths: list[int]
     sub_reports: list["TestReport"] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
 
     @property
     def rejected(self) -> bool:
@@ -91,7 +95,7 @@ class TestReport:
                 return -_HUGE
             return v
 
-        out = {
+        return {
             "test": self.test,
             "alpha": self.alpha,
             "statistic_bits": clamp(self.statistic_bits),
@@ -102,9 +106,6 @@ class TestReport:
             "lengths": self.lengths,
             "sub_reports": [r.to_dict() for r in self.sub_reports],
         }
-        if self.details:
-            out["details"] = self.details
-        return out
 
 
 def _check_alpha(alpha: float) -> None:
@@ -163,8 +164,9 @@ def serial_independence_test(x, m: int, alpha: float,
 def _cell_probs(null_density, partition: Partition) -> np.ndarray:
     """Null probability of every cell: exact for piecewise-constant
     densities, adaptive quadrature (rtol 1e-8) for callables."""
-    exact = isinstance(null_density, PiecewiseConstantDensity)
-    if not exact:
+    if isinstance(null_density, PiecewiseConstantDensity):
+        integral = null_density.integral
+    else:
         try:
             from scipy import integrate  # slow to import; only callables need it
         except ImportError as exc:
@@ -173,14 +175,10 @@ def _cell_probs(null_density, partition: Partition) -> np.ndarray:
                 "'quad' extra (pip install 'uctseries[quad]') or pass a "
                 "PiecewiseConstantDensity"
             ) from exc
-    probs = np.empty(partition.cells)
-    for i in range(partition.cells):
-        lo, hi = partition.cell_bounds(i)
-        if exact:
-            probs[i] = null_density.integral(lo, hi)
-        else:
-            val, _ = integrate.quad(null_density, lo, hi, epsrel=1e-8, limit=200)
-            probs[i] = val
+
+        def integral(lo, hi):
+            return integrate.quad(null_density, lo, hi, epsrel=1e-8, limit=200)[0]
+    probs = np.array([integral(*partition.cell_bounds(i)) for i in range(partition.cells)])
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"null density integrates to {total!r} over the domain")
@@ -188,25 +186,25 @@ def _cell_probs(null_density, partition: Partition) -> np.ndarray:
 
 
 def partition_meta_test(data, alpha: float, kind: str = "si",
-                        max_depth: int = 8,
+                        max_depth: int = DEFAULT_MAX_DEPTH,
                         domain: tuple[float, float] = (0.0, 1.0),
                         null_density=None,
                         max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
                         ) -> TestReport:
     """Run a finite-alphabet test on successively finer quantizations.
 
-    The i-th sub-test runs at level alpha * w_i (the mixture weights, so
-    the levels sum to at most alpha) on the data quantized by the dyadic
-    partition of the domain into 2^i cells.  Rejects iff any sub-test
-    rejects.  Checking stops at the first depth whose maximum achievable
-    statistic t*log2(cells) cannot exceed its threshold, or after
-    max_depth partitions.  Values are quantized once, at max_depth, into
-    every depth's cells (`Partition.levels`).
+    At every depth i = 1..max_depth the i-th sub-test runs at level
+    alpha * w_i (the mixture weights, so the levels sum to at most alpha)
+    on the data quantized by the dyadic partition of the domain into 2^i
+    cells; its report is sub_reports[i-1].  The statistic is the largest
+    margin statistic - threshold of the sub-tests, so the meta-test
+    rejects iff any sub-test rejects.  Values are quantized once, at
+    max_depth, into every depth's cells (`Partition.levels`).
 
     kind "si" tests serial independence of i.i.d. data (order 0 only:
     quantizing can inflate the memory of a Markov chain, so higher orders
     are not meaningful here); kind "id" tests a null given as a density
-    over the domain, quantized cell by cell.
+    over the domain, quantized cell by cell.  Empty data is refused.
     """
     _check_alpha(alpha)
     if kind not in ("si", "id"):
@@ -214,40 +212,32 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
     if kind == "id" and null_density is None:
         raise ValueError("identity meta-test needs a null density")
     _check_mixture_depth(max_depth)
-    data = np.asarray(data, dtype=float).reshape(-1)
-    t = data.size
-    provider = ideal_r_provider(max_explicit_order)
     lo, hi = domain
     levels = Partition(lo, hi, max_depth).levels(data)
+    t = len(levels[0])
+    if not t:
+        raise ValueError("partition meta-test needs at least one value")
+    provider = ideal_r_provider(max_explicit_order)
 
     subs: list[TestReport] = []
-    i_stop = None
-    for i in range(1, max_depth + 1):
+    for i, cells in enumerate(levels[1:], start=1):
         level = alpha * order_weight(i)
-        if t * i <= -math.log2(level):  # t * log2(cells)
-            i_stop = i
-            break
-        cells = levels[i]
         if kind == "si":
-            sub = serial_independence_test(cells, 0, level, provider)
+            subs.append(serial_independence_test(cells, 0, level, provider))
         else:
             probs = _cell_probs(null_density, Partition(lo, hi, i))
-            sub = identity_test(cells, MarkovSource.iid(cells.alphabet, probs), level,
-                                provider)
-        sub.details["partition_depth"] = i
-        subs.append(sub)
+            subs.append(identity_test(cells, MarkovSource.iid(cells.alphabet, probs),
+                                      level, provider))
 
-    margins = [s.statistic_bits - s.threshold_bits for s in subs]
-    statistic = max(margins) if margins else 0.0
+    statistic = max((s.statistic_bits - s.threshold_bits for s in subs), default=0.0)
     return TestReport(
         test=f"partition-{kind}",
         alpha=alpha,
         statistic_bits=statistic,
         threshold_bits=0.0,
         verdict="reject" if statistic > 0.0 else "accept",
-        provider=provider.name if subs else "none",
+        provider=provider.name,
         order=0,
         lengths=[t],
         sub_reports=subs,
-        details={"i_stop": i_stop, "partitions_checked": len(subs)},
     )

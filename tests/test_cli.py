@@ -387,20 +387,21 @@ class TestDensityCommand:
         assert error["error"] == "data" and f"{f}:2:" in error["detail"]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("domain, text, detail", [
-        ("-inf:inf", "0.25\n", "finite"),
-        ("0:inf", "0.25\n", "finite"),
-        ("0:1", "0.25\nnan\n0.5\n", "nan at index 1 "),
+    @pytest.mark.parametrize("domain, text, code, kind, detail", [
+        # a non-finite --domain is a bad option value; a non-finite value, bad data
+        ("-inf:inf", "0.25\n", 2, "usage", "finite"),
+        ("0:inf", "0.25\n", 2, "usage", "finite"),
+        ("0:1", "0.25\nnan\n0.5\n", 3, "data", "nan at index 1 "),
     ])
     def test_non_finite_is_one_json_error_line(self, capsys, tmp_path, domain, text,
-                                               detail):
+                                               code, kind, detail):
         f = tmp_path / "reals.csv"
         f.write_text(text)
-        code, rep, err = run(capsys, "density", "--in", f, f"--domain={domain}")
-        assert code == 3 and rep is None
+        got, rep, err = run(capsys, "density", "--in", f, f"--domain={domain}")
+        assert got == code and rep is None
         assert len(err.splitlines()) == 1
         error = json.loads(err)
-        assert error["error"] == "data" and detail in error["detail"]
+        assert error["error"] == kind and detail in error["detail"]
 
 
 class TestReadReals:
@@ -512,7 +513,7 @@ class TestMonteCarloCommand:
     def test_non_finite_domain_is_one_json_error_line(self, capsys):
         code, rep, err = run(capsys, "montecarlo", "--test", "partition-si",
                              "--trials", "2", "--domain=0:inf")
-        assert code == 3 and rep is None
+        assert code == 2 and rep is None
         assert len(err.splitlines()) == 1
         assert "finite" in json.loads(err)["detail"]
 
@@ -552,6 +553,32 @@ def test_out_of_range_option_is_usage_error(capsys, argv):
     code, rep, err = run(capsys, *argv)
     assert code == 2 and rep is None
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["estimate", "--in", DATA / "mixed.txt", "--alphabet", "x"], 2),
+    (["estimate", "--in", DATA / "mixed.txt", "--alphabet", "a,a"], 2),
+    (["estimate", "--in", "{blank}"], 3),
+    (["density", "--in", DATA / "uniform_reals.csv", "--domain", "abc"], 2),
+    (["density", "--in", DATA / "uniform_reals.csv", "--domain", "1:0"], 2),
+    (["test-independence", "--in", DATA / "mixed.txt", "--provider", "external"], 2),
+    (["predict", "--in", DATA / "two_samples.txt", "--in2", DATA / "side_y.txt"], 3),
+    (["test-identity", "--in", DATA / "mixed.txt", "--null", DATA / "uniform_null.txt",
+      "--alphabet", "3"], 3),
+    (["montecarlo", "--test", "kl-redundancy"], 2),
+], ids=["alphabet-spec", "alphabet-repeats", "blank-symbol-file", "domain-spec",
+        "domain-order", "external-without-cmd", "side-info-multisample",
+        "null-alphabet-size", "kl-without-source"])
+def test_documented_bad_input_is_one_json_error_line(capsys, tmp_path, argv, code):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n\n")
+    got = main([str(blank) if a == "{blank}" else str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    error = json.loads(captured.err)
+    assert set(error) == {"error", "detail"}
+    assert error["error"] == {2: "usage", 3: "data"}[code]
 
 
 def test_one_parser_serves_every_call(capsys):

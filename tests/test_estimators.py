@@ -252,6 +252,14 @@ class TestLgammaCounts:
     def sizes(self):
         return {k: t.size for k, t in estimators._lgamma_tables.items()}
 
+    def test_tables_evicted_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_lgamma_tables", {})
+        limit = estimators._LGAMMA_MAX_TABLES
+        for k in range(limit + 1):  # 65 distinct offsets
+            self.check([0, 7, 300, 2], 0.5 + k)
+            assert 0 < len(estimators._lgamma_tables) <= limit
+        assert 0.5 + limit in estimators._lgamma_tables
+
     def test_all_counts_past_cap_on_an_empty_table(self, monkeypatch):
         monkeypatch.setattr(estimators, "_lgamma_tables", {})
         cap = estimators._LGAMMA_TABLE_CAP

@@ -331,6 +331,15 @@ class TestEventProbability:
 
 
 class TestPiecewiseConstantDensity:
+    @pytest.mark.parametrize("x, value", [
+        (0.1, 1.0), (0.3, 2.0), (0.7, 0.4),  # inside a piece
+        (0.0, 1.0), (0.25, 2.0), (0.5, 0.4),  # at a breakpoint: right-continuous
+        (-0.1, 0.0), (1.0, 0.0), (3.0, 0.0),  # outside [first, last)
+    ])
+    def test_call(self, x, value):
+        dens = PiecewiseConstantDensity((0.0, 0.25, 0.5, 1.0), (1.0, 2.0, 0.4))
+        assert dens(x) == value
+
     def test_expectation_matches_midpoint_sum(self):
         # density breakpoints are multiples of 1/16, so the midpoint grid
         # below never straddles a jump; the function's kinks fall inside

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctseries.estimators import final_conditional, kt_log2prob, r_log2prob
+from uctseries.estimators import (
+    final_conditional,
+    kt_log2prob,
+    r_cond_log2prob,
+    r_log2prob,
+)
 from uctseries.seqmodel import (
     Alphabet,
     AlphabetMismatchError,
@@ -174,8 +179,16 @@ class TestMultiSample:
         ext = x.extended([1, 0])
         assert type(ext) is type(x)
         assert ext.symbols.tolist() == symbols and ext.lengths.tolist() == lengths
-        with pytest.raises(ValueError):
+        with pytest.raises(AlphabetMismatchError):
             x.extended([0, 2])
+
+    @pytest.mark.parametrize("x", [seq("011"), multi("01", "1")])
+    def test_extended_takes_a_symbol_seq_word(self, x):
+        word = seq("10")
+        assert x.extended(word).symbols.tolist() == x.extended([1, 0]).symbols.tolist()
+        assert r_cond_log2prob(word, x) == r_cond_log2prob([1, 0], x)
+        with pytest.raises(AlphabetMismatchError):
+            x.extended(SymbolSeq(Alphabet.of_size(3), [1, 0]))
 
     def test_samples_are_views_of_the_flat_array(self):
         ms = multi("0110", "", "1", "00")

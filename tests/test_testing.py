@@ -149,13 +149,17 @@ class TestIdentityTest:
             identity_test(seq("01"), MarkovSource.uniform(BINARY), 1.5)
 
     def test_report_schema(self):
+        keys = {"test", "alpha", "statistic_bits", "threshold_bits", "verdict",
+                "provider", "order", "lengths", "sub_reports"}
         rep = identity_test(seq("0101"), MarkovSource.uniform(BINARY), 0.05)
         d = rep.to_dict()
-        assert set(d) == {
-            "test", "alpha", "statistic_bits", "threshold_bits", "verdict",
-            "provider", "order", "lengths", "sub_reports",
-        }
+        assert set(d) == keys
         json.dumps(d)  # serializable
+        # a partition report and its sub-reports have the same fields
+        d = partition_meta_test(np.random.default_rng(3).random(50), 0.05,
+                                max_depth=2).to_dict()
+        assert set(d) == keys and all(set(sub) == keys for sub in d["sub_reports"])
+        assert d["provider"] == "ideal-r" and d["lengths"] == [50]
 
 
 class TestSerialIndependenceTest:
@@ -240,7 +244,7 @@ class TestPartitionMetaTest:
         rng = np.random.default_rng(7)
         rep = partition_meta_test(rng.random(400), 0.05, kind="si", max_depth=4)
         assert rep.verdict == "accept"
-        assert rep.details["partitions_checked"] >= 1
+        assert len(rep.sub_reports) == 4
 
     def test_sign_dependence_rejected(self):
         from uctseries.realvalued import sign_process_generate
@@ -256,8 +260,7 @@ class TestPartitionMetaTest:
         rng = np.random.default_rng(9)
         rep = partition_meta_test(rng.random(50), 0.05, kind="si", max_depth=0)
         assert rep.verdict == "accept"
-        assert rep.details["i_stop"] is None
-        assert rep.details["partitions_checked"] == 0
+        assert rep.sub_reports == [] and rep.provider == "ideal-r"
 
     @pytest.mark.parametrize("kind", ["si", "id"])
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0)])
@@ -276,7 +279,7 @@ class TestPartitionMetaTest:
         null = PiecewiseConstantDensity((lo, lo + 0.3 * w, hi), (0.5 / (0.3 * w), 0.5 / (0.7 * w)))
         rep = partition_meta_test(data, alpha, kind=kind, max_depth=max_depth,
                                   domain=(lo, hi), null_density=null)
-        assert rep.details["partitions_checked"] == max_depth
+        assert len(rep.sub_reports) == max_depth
         for i, sub in enumerate(rep.sub_reports, start=1):
             partition = Partition(lo, hi, i)
             cells = quantize(data, partition)
@@ -289,7 +292,6 @@ class TestPartitionMetaTest:
                 probs /= probs.sum()
                 expected = identity_test(cells, MarkovSource.iid(cells.alphabet, probs),
                                          level)
-            expected.details["partition_depth"] = i
             assert sub == expected
 
     def test_levels_sum_within_alpha(self):
@@ -339,6 +341,23 @@ class TestPartitionMetaTest:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             partition_meta_test([0.5], 0.05, kind="bogus")
+
+    def test_null_pricing_past_t_log2_cells_still_runs_every_depth(self):
+        # -log2 null(x) is not bounded by t * log2(cells): five values where
+        # the null density is 2e-9 cost about 29 bits each, though t * i = 5
+        # lies below the depth-1 threshold of 5.8 bits
+        null = PiecewiseConstantDensity((0.0, 0.5, 1.0), (2e-9, (1 - 1e-9) / 0.5))
+        rep = partition_meta_test([0.1, 0.2, 0.05, 0.15, 0.12], 0.05, kind="id",
+                                  max_depth=4, null_density=null)
+        assert rep.sub_reports[0].threshold_bits > 5
+        assert len(rep.sub_reports) == 4 and all(s.rejected for s in rep.sub_reports)
+        assert rep.verdict == "reject" and rep.statistic_bits > 100
+
+    @pytest.mark.parametrize("kind", ["si", "id"])
+    def test_empty_data_is_refused(self, kind):
+        with pytest.raises(ValueError, match="at least one value"):
+            partition_meta_test([], 0.05, kind=kind,
+                                null_density=PiecewiseConstantDensity.uniform(0.0, 1.0))
 
     def test_out_of_domain_value(self):
         from uctseries.realvalued import DomainError
