@@ -11,7 +11,6 @@ from .seqmodel import (
     AlphabetMismatchError,
     MultiSample,
     SymbolSeq,
-    count_occurrences,
 )
 from .estimators import (
     KtState,

@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Store(argparse.Action):
+    """argparse's store action that also adds the flag to `args.given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {option_string}
+
+
 # ---------------------------------------------------------------------------
 # Input handling
 
@@ -368,7 +376,27 @@ def _run_pool(kind, cfg, trials):
     return [_mc_trial(p) for p in payloads]
 
 
+# the flags every --test reads
+_MC_COMMON = ("--test", "--trials", "--length", "--seed", "--max-order", "--out")
+# --test -> (the other flags it reads, the flag whose presence leaves
+# --alphabet unread)
+_MC_READS = {
+    "identity": (("--alpha", "--null", "--source", "--alphabet"), "--null"),
+    "independence": (("--alpha", "--order", "--source", "--alphabet"), "--source"),
+    "partition-si": (("--alpha", "--depth", "--domain"), None),
+    "kl-redundancy": (("--source",), None),
+}
+
+
 def cmd_montecarlo(args) -> int:
+    kind = args.test
+    reads, drops_alphabet = _MC_READS[kind]
+    unread = args.given - {*_MC_COMMON, *reads}
+    if drops_alphabet in args.given:
+        unread |= args.given & {"--alphabet"}
+    if unread:
+        raise _UsageError(f"montecarlo --test {kind} does not read "
+                          + ", ".join(sorted(unread)))
     cfg = {
         "seed": args.seed,
         "alpha": args.alpha,
@@ -378,7 +406,6 @@ def cmd_montecarlo(args) -> int:
         "max_order": args.max_order,
         "domain": args.domain or (0.0, 1.0),
     }
-    kind = args.test
     if kind == "kl-redundancy":
         if not args.source:
             raise _UsageError("kl-redundancy requires --source")
@@ -469,8 +496,7 @@ _FLAGS = {
     "--query": dict(help="word whose conditional probability to report"),
     "--null": dict(help="null source parameter file"),
     "--source": dict(help="data-generating source parameter file"),
-    "--test": dict(required=True, choices=["identity", "independence",
-                                           "partition-si", "kl-redundancy"]),
+    "--test": dict(required=True, choices=list(_MC_READS)),
 }
 
 _SYMBOLS = ("--in", "--alphabet", "--max-order", "--out")
@@ -492,9 +518,8 @@ _COMMANDS = [
     ("density", cmd_density, "density estimate of real-valued input",
      ("--in", "--domain", "--depth", "--renormalize-depth-weights", "--out")),
     ("montecarlo", cmd_montecarlo, "rejection-rate validation harness",
-     ("--test", "--trials", "--alpha", "--length", "--seed", "--order",
-      "--depth", "--domain", "--max-order", "--alphabet", "--null",
-      "--source", "--out")),
+     _MC_COMMON + ("--alpha", "--order", "--depth", "--domain", "--alphabet", "--null",
+                   "--source")),
 ]
 
 
@@ -506,8 +531,8 @@ def build_parser() -> _Parser:
     for name, fn, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(fn=fn)
+            p.add_argument(flag, **{"action": _Store, **_FLAGS[flag]})
+        p.set_defaults(fn=fn, given=frozenset())
     return parser
 
 

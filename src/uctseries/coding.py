@@ -5,8 +5,8 @@ for the hypothesis tests: `measure_provider` wraps a measure as its ideal
 codelength -log2 mu (real valued; `ideal_r_provider` is the mixture's),
 `arithmetic_provider` counts the bits the adaptive arithmetic coder
 emits (whole bits), and `external_provider` counts the output of a
-general-purpose compressor run as a subprocess.  The container header
-names one of three coding models: `UniformModel`, `KtState` or the mixture.
+general-purpose compressor run as a subprocess.  The container codes
+with the mixture alone, `MixtureEstimator`, the paper's universal code.
 """
 
 from __future__ import annotations
@@ -22,19 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import (
-    DEFAULT_MAX_EXPLICIT_ORDER,
-    KtState,
-    MixtureEstimator,
-    r_log2prob,
-)
+from .estimators import DEFAULT_MAX_EXPLICIT_ORDER, MixtureEstimator, r_log2prob
 from .seqmodel import Alphabet, MultiSample, SymbolSeq, as_sample_arrays
 
 __all__ = [
     "CodelengthProvider",
     "ExternalCompressor",
     "MAGIC",
-    "UniformModel",
     "arithmetic_decode",
     "arithmetic_encode",
     "arithmetic_provider",
@@ -281,65 +275,37 @@ def arithmetic_decode(payload: bytes, lengths, model, alphabet: Alphabet):
     return out[0] if len(out) == 1 else MultiSample(out)
 
 
-class UniformModel:
-    """Memoryless uniform conditionals; the trivial coding model."""
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self._probs = np.full(alphabet.size, 1.0 / alphabet.size)
-
-    def conditional_probs(self):
-        return self._probs
-
-    def append(self, a):
-        pass
-
-    def new_sample(self):
-        pass
-
-
 # ---------------------------------------------------------------------------
 # Container format: magic, alphabet size (u16 BE), length (u64 BE),
 # model id byte, then the arithmetic payload zero-padded to a byte.  The
-# model id alone picks the decoding model; `kt` is order 0, since the
-# header stores no order.
+# one model is the mixture, id 3; any other id is refused.
 
 MAGIC = b"UCT1"
-
-# model name -> (header id, fresh model for an alphabet and a max order)
-_MODELS = {
-    "uniform": (0, lambda alphabet, _: UniformModel(alphabet)),
-    "kt": (2, lambda alphabet, _: KtState(alphabet, 0)),
-    "r": (3, MixtureEstimator),
-}
-_ID_MODELS = {model_id: name for name, (model_id, _) in _MODELS.items()}
+_MIXTURE_ID = 3
 
 
-def compress_container(x: SymbolSeq, model_name: str = "r",
+def compress_container(x: SymbolSeq,
                        max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
                        ) -> tuple[bytes, int]:
     """Encode a single sequence into the framed container format with the
-    model `model_name` ("uniform", "kt" or "r") names.
+    mixture of explicit orders up to `max_explicit_order`.
 
     Returns (container bytes, payload bit count).
     """
     if isinstance(x, MultiSample):
         raise ValueError("the container format holds a single sequence")
-    if model_name not in _MODELS:
-        raise ValueError(f"no container model named {model_name!r}")
     if x.alphabet.size > 0xFFFF:  # the u16 size field
         raise ValueError("the container format holds alphabets of at most 65535 "
                          f"symbols, got {x.alphabet.size}")
-    model_id, new_model = _MODELS[model_name]
-    payload, nbits = arithmetic_encode(x, new_model(x.alphabet, max_explicit_order))
-    header = struct.pack(">HQB", x.alphabet.size, len(x), model_id)
+    payload, nbits = arithmetic_encode(x, MixtureEstimator(x.alphabet, max_explicit_order))
+    header = struct.pack(">HQB", x.alphabet.size, len(x), _MIXTURE_ID)
     return MAGIC + header + payload, nbits
 
 
 def decompress_container(data: bytes, alphabet: Alphabet | None = None,
                          max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER):
-    """Decode a container produced by compress_container, with the model
-    its header names.
+    """Decode a container produced by compress_container; the mixture's
+    largest order is not in the header, so pass the one used to encode.
 
     Returns (SymbolSeq, header dict).  Header corruption raises ValueError
     naming the offending byte position; payload corruption is undetectable
@@ -352,7 +318,7 @@ def decompress_container(data: bytes, alphabet: Alphabet | None = None,
     size, length, model_id = struct.unpack(">HQB", data[4:15])
     if size < 1:
         raise ValueError("bad alphabet size at byte 4")
-    if model_id not in _ID_MODELS:
+    if model_id != _MIXTURE_ID:
         raise ValueError(f"unknown model id {model_id} at byte 14")
     if alphabet is None:
         alphabet = Alphabet.of_size(size)
@@ -360,12 +326,11 @@ def decompress_container(data: bytes, alphabet: Alphabet | None = None,
         raise ValueError(
             f"container alphabet size {size} differs from supplied {alphabet.size}"
         )
-    name = _ID_MODELS[model_id]
-    model = _MODELS[name][1](alphabet, max_explicit_order)
+    model = MixtureEstimator(alphabet, max_explicit_order)
     seq = arithmetic_decode(data[15:], int(length), model, alphabet)
     header = {
         "alphabet_size": int(size),
         "length": int(length),
-        "model": name,
+        "model": "r",
     }
     return seq, header

@@ -313,6 +313,8 @@ class MixtureEstimator:
     def append(self, a: int) -> None:
         a = int(a)
         size = self.alphabet.size
+        if not 0 <= a < size:
+            raise AlphabetMismatchError(f"symbol {a} outside an alphabet of {size}")
         w, rows, dens, child = self._w, self._rows, self._dens, self._child
         hist, path = self._hist, self._path
         # joint[i] is component i's share of R's conditional of a, summed
@@ -359,7 +361,9 @@ class MixtureEstimator:
         self._pos = 0
 
     def consume(self, x) -> "MixtureEstimator":
-        _, samples = as_sample_arrays(x)
+        alphabet, samples = as_sample_arrays(x)
+        if alphabet.size != self.alphabet.size:
+            raise AlphabetMismatchError("sequence alphabet size differs from the estimator")
         for j, arr in enumerate(samples):
             if j:
                 self.new_sample()

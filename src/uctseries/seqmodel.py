@@ -25,7 +25,6 @@ __all__ = [
     "SymbolSeq",
     "WindowCounts",
     "as_sample_arrays",
-    "count_occurrences",
     "pair_counts",
     "window_counts",
 ]
@@ -364,18 +363,3 @@ def pair_counts(x, k: int) -> dict[tuple, np.ndarray]:
         for (*ctx, a), n in zip(rows[seen].tolist(), counts.pair):
             table.setdefault(tuple(ctx), np.zeros(alphabet.size, dtype=np.int64))[a] = n
     return table
-
-
-def count_occurrences(x, v) -> int:
-    """Number of sliding windows equal to the word `v`, summed per sample.
-
-    A sample shorter than `v` contributes no window.
-    """
-    size, flat, lengths = _layout(x)
-    word = _coerce_word(x.alphabet, v)
-    if not word.size:
-        raise ValueError("word must be nonempty")
-    # the word joins as one more sample; its only window is the last one
-    counts = _count(np.concatenate([flat, word]), np.append(lengths, word.size), size,
-                    word.size - 1)
-    return int(counts.pair[np.searchsorted(counts.windows, counts.codes[-1])]) - 1

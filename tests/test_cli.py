@@ -142,20 +142,8 @@ class TestCompressRoundTrip:
         assert code == 0
         assert text.read_text() == (DATA / "mixed.txt").read_text()
 
-    @pytest.mark.parametrize("name", ["kt", "uniform"])
-    def test_alphabet_flag_decodes_with_the_header_model(self, capsys, tmp_path, name):
-        text = "0001101110010111000011"
-        x = SymbolSeq.from_labels(Alphabet.of_size(2), list(text))
-        blob = tmp_path / f"{name}.uct"
-        blob.write_bytes(compress_container(x, model_name=name)[0])
-        out = tmp_path / f"{name}.txt"
-        code, rep, _ = run(capsys, "decompress", "--in", blob, "--out", out,
-                           "--alphabet", "2")
-        assert code == 0
-        assert rep["model"] == name
-        assert out.read_text() == text + "\n"
-
-    @pytest.mark.parametrize("model_id", [1, 255])
+    # 0 and 2 once named a uniform and an order-0 add-half model
+    @pytest.mark.parametrize("model_id", [0, 1, 2, 255])
     def test_unknown_header_model_id_is_data_error(self, capsys, tmp_path, model_id):
         x = SymbolSeq.from_labels(Alphabet.of_size(2), list("0110"))
         blob = bytearray(compress_container(x)[0])
@@ -371,6 +359,16 @@ class TestDensityCommand:
         )
         assert code == 2
 
+    def test_negative_bound_needs_the_equals_form(self, capsys):
+        reals = DATA / "uniform_reals.csv"
+        code, rep, _ = run(capsys, "density", "--in", reals, "--domain=-1:1", "--depth", "4")
+        assert code == 0 and rep["domain"] == [-1.0, 1.0] and rep["n"] == 400
+        # argparse takes -1:1 for a flag, so --domain is left without a value
+        code, rep, err = run(capsys, "density", "--in", reals, "--domain", "-1:1")
+        assert code == 2 and rep is None
+        assert json.loads(err) == {"error": "usage",
+                                   "detail": "argument --domain: expected one argument"}
+
     def test_out_of_domain_value(self, capsys):
         code, _, err = run(
             capsys, "density", "--in", DATA / "uniform_reals.csv",
@@ -508,6 +506,46 @@ class TestMonteCarloCommand:
         rep = json.loads(out, parse_constant=reject)
         assert code == 0
         assert rep["stderr"] is None and rep["value_bits_per_letter"] > 0
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--test", "kl-redundancy", "--source", DATA / "sticky_null.txt", "--alphabet", "7",
+          "--domain", "5:9", "--alpha", "0.3", "--order", "4", "--depth", "3"],
+         "--alpha, --alphabet, --depth, --domain, --order"),
+        (["--test", "identity", "--null", DATA / "uniform_null.txt", "--alphabet", "5"],
+         "--alphabet"),
+        (["--test", "identity", "--order", "3", "--depth", "2", "--domain", "0:2"],
+         "--depth, --domain, --order"),
+        (["--test", "partition-si", "--null", DATA / "uniform_null.txt",
+          "--source", DATA / "sticky_null.txt", "--order", "2"],
+         "--null, --order, --source"),
+        (["--test", "independence", "--source", DATA / "sticky_null.txt", "--alphabet", "3",
+          "--depth", "5"],
+         "--alphabet, --depth"),
+        # a default value given is still given
+        (["--test", "identity", "--order", "0"], "--order"),
+        (["--test", "kl-redundancy", "--source", DATA / "sticky_null.txt", "--alpha=0.05"],
+         "--alpha"),
+    ], ids=["kl", "identity-null-alphabet", "identity", "partition-si",
+            "independence-source-alphabet", "identity-default-order", "kl-default-alpha"])
+    def test_unread_flag_is_one_json_usage_line(self, capsys, monkeypatch, argv, unread):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "_run_pool", no_trials)
+        monkeypatch.setattr(cli.estimators, "avg_kl_error", no_trials)
+        code = main(["montecarlo", *map(str, argv), "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "usage", "detail": f"montecarlo --test {argv[1]} does not read {unread}"}
+
+    @pytest.mark.parametrize("test", ["identity", "independence"])
+    def test_alphabet_is_read_without_a_source_file(self, capsys, test):
+        code, rep, err = run(capsys, "montecarlo", "--test", test, "--alphabet", "3",
+                             "--trials", "2", "--length", "16")
+        assert code in (0, 1) and err == ""
+        assert rep["test"] == test and rep["trials"] == 2
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_domain_is_one_json_error_line(self, capsys):

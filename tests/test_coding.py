@@ -12,7 +12,6 @@ from uctseries import coding
 from uctseries.coding import (
     CodelengthProvider,
     ExternalCompressor,
-    UniformModel,
     arithmetic_decode,
     arithmetic_encode,
     arithmetic_provider,
@@ -250,24 +249,22 @@ class TestContainer:
         assert (out.symbols == x.symbols).all()
         assert header == {"alphabet_size": 2, "length": 13, "model": "r"}
 
-    @pytest.mark.parametrize("name", ["uniform", "kt", "r"])
-    def test_header_alone_picks_the_model(self, name):
+    def test_max_order_is_the_second_argument(self):
         x = SymbolSeq(Alphabet.of_size(3), [int(c) for c in "0011220110220011"])
-        blob, _ = compress_container(x, model_name=name)
-        out, header = decompress_container(blob)
+        blob, nbits = compress_container(x, 2)
+        assert blob[14] == 3  # the mixture's id
+        assert nbits == arithmetic_encode(x, MixtureEstimator(x.alphabet, 2))[1]
+        out, header = decompress_container(blob, max_explicit_order=2)
         assert (out.symbols == x.symbols).all()
-        assert header == {"alphabet_size": 3, "length": 16, "model": name}
+        assert header == {"alphabet_size": 3, "length": 16, "model": "r"}
 
-    @pytest.mark.parametrize("model_id", [1, 255])
+    # 0 and 2 once named a uniform and an order-0 add-half model
+    @pytest.mark.parametrize("model_id", [0, 1, 2, 255])
     def test_unknown_model_id(self, model_id):
         blob = bytearray(compress_container(seq("0110"))[0])
         blob[14] = model_id
-        with pytest.raises(ValueError, match="byte 14"):
+        with pytest.raises(ValueError, match=f"unknown model id {model_id} at byte 14"):
             decompress_container(bytes(blob))
-
-    def test_unknown_model_name(self):
-        with pytest.raises(ValueError, match="laplace"):
-            compress_container(seq("01"), model_name="laplace")
 
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="byte 0"):
@@ -295,8 +292,8 @@ class TestContainer:
     def test_uniform_model_round_trip(self):
         alphabet = Alphabet.of_size(4)
         x = SymbolSeq(alphabet, np.arange(100) % 4)
-        payload, nbits = arithmetic_encode(x, UniformModel(alphabet))
-        out = arithmetic_decode(payload, len(x), UniformModel(alphabet), alphabet)
+        payload, nbits = arithmetic_encode(x, _IidModel([0.25] * 4))
+        out = arithmetic_decode(payload, len(x), _IidModel([0.25] * 4), alphabet)
         assert (out.symbols == x.symbols).all()
         assert nbits <= 2 * 100 + 2
 

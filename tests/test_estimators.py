@@ -441,6 +441,23 @@ class TestMixture:
             assert est.conditional_probs().sum() == pytest.approx(1.0, abs=1e-12)
             est.append(int(a))
 
+    def test_consume_refuses_another_alphabet_size_before_any_step(self):
+        est = MixtureEstimator(BINARY).consume(seq("01"))
+        before = (est.log2prob, est.conditional_probs().tolist())
+        with pytest.raises(AlphabetMismatchError, match="alphabet size"):
+            est.consume(SymbolSeq(Alphabet.of_size(3), [2, 2, 0, 2]))
+        assert (est.log2prob, est.conditional_probs().tolist()) == before
+
+    @pytest.mark.parametrize("a", [7, 2, -1])
+    @pytest.mark.parametrize("model", ["mixture", "kt"])
+    def test_append_refuses_a_symbol_outside_the_alphabet(self, model, a):
+        est = MixtureEstimator(BINARY) if model == "mixture" else KtState(BINARY, 1)
+        est.append(1)
+        before = (est.log2prob, est.conditional_probs().tolist())
+        with pytest.raises(AlphabetMismatchError, match=f"symbol {a} outside"):
+            est.append(a)
+        assert (est.log2prob, est.conditional_probs().tolist()) == before
+
     def test_chain_rule_identity(self):
         rng = np.random.default_rng(61)
         arr = rng.integers(0, 2, size=25)

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI reports, containers and coder payloads, and the export lists.
+"""Byte-for-byte CLI reports, containers and coder payloads, the decoding
+of the stored containers, and the export lists.
 
 The files under tests/data/golden were written by the CLI and the coder
 themselves on the data files of tests/data.  A change to any report,
@@ -20,7 +21,7 @@ import pytest
 import uctseries
 from uctseries.cli import main
 from uctseries.coding import arithmetic_encode
-from uctseries.estimators import KtState, MixtureEstimator
+from uctseries.estimators import DEFAULT_MAX_EXPLICIT_ORDER, KtState, MixtureEstimator
 from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
 
 DATA = Path(__file__).parent / "data"
@@ -139,6 +140,19 @@ def test_report_is_byte_identical(name, tmp_path):
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     if OUT in CASES[name][0]:
         assert out.read_bytes() == (GOLDEN / f"{name}.uct").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0][0] == "compress"))
+def test_stored_container_decodes_to_its_source(name, tmp_path):
+    argv = CASES[name][0]
+    order = (argv[argv.index("--max-order") + 1] if "--max-order" in argv
+             else str(DEFAULT_MAX_EXPLICIT_ORDER))
+    out = tmp_path / "decoded.txt"
+    with redirect_stdout(io.StringIO()):
+        code = main(["decompress", "--in", str(GOLDEN / f"{name}.uct"),
+                     "--max-order", order, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (DATA / argv[argv.index("--in") + 1]).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))
