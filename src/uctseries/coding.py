@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .estimators import DEFAULT_MAX_EXPLICIT_ORDER, MixtureEstimator, r_log2prob
-from .seqmodel import Alphabet, MultiSample, SymbolSeq, as_sample_arrays
+from .seqmodel import Alphabet, AlphabetMismatchError, MultiSample, SymbolSeq, as_sample_arrays
 
 __all__ = [
     "CodelengthProvider",
@@ -253,9 +253,11 @@ def arithmetic_encode(x, model) -> tuple[bytes, int]:
     Returns (payload bytes, payload bit count).  The model is advanced in
     place; pass a fresh instance.  For multi-samples the model's sample
     boundary is reset between samples and the decoder must be driven with
-    the same lengths.
+    the same lengths.  A model over another alphabet size is refused.
     """
-    _, samples = as_sample_arrays(x)
+    alphabet, samples = as_sample_arrays(x)
+    if len(model.conditional_probs()) != alphabet.size:
+        raise AlphabetMismatchError("sequence alphabet size differs from the model")
     coder = _RangeCoder()
     _code(coder, model, [arr.tolist() for arr in samples])
     return coder.finish()

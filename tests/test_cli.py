@@ -142,6 +142,18 @@ class TestCompressRoundTrip:
         assert code == 0
         assert text.read_text() == (DATA / "mixed.txt").read_text()
 
+    def test_alphabet_flag_decodes_with_the_header_model(self, capsys, tmp_path):
+        text = "0001101110010111000011"
+        x = SymbolSeq.from_labels(Alphabet.of_size(2), list(text))
+        blob = tmp_path / "r.uct"
+        blob.write_bytes(compress_container(x)[0])
+        out = tmp_path / "r.txt"
+        code, rep, _ = run(capsys, "decompress", "--in", blob, "--out", out,
+                           "--alphabet", "2")
+        assert code == 0
+        assert rep["model"] == "r"
+        assert out.read_text() == text + "\n"
+
     # 0 and 2 once named a uniform and an order-0 add-half model
     @pytest.mark.parametrize("model_id", [0, 1, 2, 255])
     def test_unknown_header_model_id_is_data_error(self, capsys, tmp_path, model_id):
@@ -544,8 +556,8 @@ class TestMonteCarloCommand:
     def test_alphabet_is_read_without_a_source_file(self, capsys, test):
         code, rep, err = run(capsys, "montecarlo", "--test", test, "--alphabet", "3",
                              "--trials", "2", "--length", "16")
-        assert code in (0, 1) and err == ""
-        assert rep["test"] == test and rep["trials"] == 2
+        assert code == 0 and err == ""
+        assert rep["test"] == test and rep["trials"] == 2 and rep["length"] == 16
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_domain_is_one_json_error_line(self, capsys):

@@ -24,7 +24,7 @@ from uctseries.estimators import (
     MixtureEstimator,
     r_log2prob,
 )
-from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
+from uctseries.seqmodel import Alphabet, AlphabetMismatchError, MultiSample, SymbolSeq
 
 BINARY = Alphabet.of_size(2)
 
@@ -97,6 +97,14 @@ class TestArithmeticCodec:
                                     alphabet)
             assert (out.symbols == x.symbols).all()
             assert nbits <= math.ceil(-r_log2prob(x)) + 2
+
+    @pytest.mark.parametrize("model_size", [2, 4])
+    def test_model_over_another_alphabet_size_is_refused(self, model_size):
+        x = SymbolSeq(Alphabet.of_size(3), [2, 2, 0, 2])
+        for model in (MixtureEstimator(Alphabet.of_size(model_size)),
+                      _IidModel([1 / model_size] * model_size)):
+            with pytest.raises(AlphabetMismatchError, match="differs from the model"):
+                arithmetic_encode(x, model)
 
     def test_round_trip_multisample(self):
         ms = MultiSample([seq("0101"), seq("101"), seq("11")])
