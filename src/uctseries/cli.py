@@ -18,11 +18,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
-import os
 import sys
-from concurrent import futures
 
 import numpy as np
 
@@ -336,44 +333,42 @@ def cmd_density(args) -> int:
 # Monte Carlo harness
 
 
-def _mc_trial(payload) -> bool:
-    kind, cfg, index = payload
-    seed = cfg["seed"] + index
-    rng = np.random.default_rng(seed)
-    alpha = cfg["alpha"]
-    max_order = cfg["max_order"]
-    provider = coding.ideal_r_provider(max_order)
-    if kind == "identity":
-        x = cfg["source"].sample(cfg["length"], rng)
-        return testing.identity_test(x, cfg["null"], alpha, provider).rejected
-    if kind == "independence":
-        x = cfg["source"].sample(cfg["length"], rng)
-        return testing.serial_independence_test(x, cfg["order"], alpha,
-                                                provider).rejected
+# Symbols per batch of Monte Carlo trials, whose statistics come from one
+# count per order over all of them.
+_MC_CHUNK = 1 << 20
+
+
+def _mc_batch(kind, cfg, rngs) -> np.ndarray:
+    """The rejections of the trials drawn from `rngs`, one generator each."""
+    alpha, max_order = cfg["alpha"], cfg["max_order"]
     if kind == "partition-si":
         lo, hi = cfg["domain"]
-        data = lo + (hi - lo) * rng.random(cfg["length"])
-        report = testing.partition_meta_test(
-            data, alpha, kind="si", max_depth=cfg["depth"], domain=(lo, hi),
-            max_explicit_order=max_order,
-        )
-        return report.rejected
+        data = [lo + (hi - lo) * rng.random(cfg["length"]) for rng in rngs]
+        return testing._partition_si_rejections(data, alpha, cfg["depth"], (lo, hi),
+                                                max_order)
+    x = MultiSample([cfg["source"].sample(cfg["length"], rng) for rng in rngs])
+    if kind == "identity":
+        return testing._identity_rejections(x, cfg["null"], alpha, max_order)
+    if kind == "independence":
+        return testing._independence_rejections(x, cfg["order"], alpha, max_order)
     raise ValueError(f"unknown Monte Carlo test {kind!r}")
 
 
-def _run_pool(kind, cfg, trials):
-    payloads = [(kind, cfg, i) for i in range(trials)]
-    workers = min(os.cpu_count() or 1, 8)
-    if workers > 1 and trials >= 16:
-        try:
-            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk = max(1, trials // (workers * 8))
-                return list(pool.map(_mc_trial, payloads, chunksize=chunk))
-        except OSError as exc:  # restricted environments: fall back to in-process
-            logging.getLogger("uctseries").warning(
-                "process pool of %d workers failed (%s); running %d trials in-process",
-                workers, exc, trials)
-    return [_mc_trial(p) for p in payloads]
+def _run_pool(kind, cfg, trials) -> list[bool]:
+    """Whether each trial rejects; trial i draws from default_rng(seed + i).
+
+    Trials run in this process, in chunks of at most _MC_CHUNK symbols (one
+    trial at least), each chunk tested as one batch.  The name is from when
+    trials ran on a process pool; it is kept because the benchmark's spans
+    (bench/spans.py) wrap cli._run_pool by name and the CLI tests patch it.
+    """
+    per_chunk = max(1, _MC_CHUNK // cfg["length"])
+    rejected: list[bool] = []
+    for first in range(0, trials, per_chunk):
+        rngs = [np.random.default_rng(cfg["seed"] + i)
+                for i in range(first, min(first + per_chunk, trials))]
+        rejected += _mc_batch(kind, cfg, rngs).tolist()
+    return rejected
 
 
 # the flags every --test reads

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .seqmodel import (
     WindowCounts,
     _coerce_word,
     _count,
+    _count_each,
     _layout,
     _window_codes,
     as_sample_arrays,
@@ -61,7 +62,7 @@ DEFAULT_MAX_EXPLICIT_ORDER = 16
 
 def log2_sum(terms) -> LogProb:
     """log2 of a sum of probabilities given as base-2 logs."""
-    arr = np.asarray(list(terms), dtype=float)
+    arr = np.asarray(terms if isinstance(terms, np.ndarray) else list(terms), dtype=float)
     if arr.size == 0:
         return -math.inf
     m = arr.max()
@@ -404,14 +405,23 @@ def _explicit_order(lengths: np.ndarray, max_explicit_order: int) -> int:
     return min(max_explicit_order, int(lengths.max()) - 1)
 
 
-def _mixture_terms(kt_bits: list[LogProb], lengths: np.ndarray, size: int) -> list[LogProb]:
-    """The summands of log2 R, given log2 K_i for the counted orders
-    i = 0..E: log2 w_{i+1} + log2 K_i, then the closed-form uniform tail
-    of every higher order, log2 w_tail(E + 2) - t log2|A|."""
-    terms = [math.log2(order_weight(i + 1)) + bits for i, bits in enumerate(kt_bits)]
-    terms.append(math.log2(order_weight_tail(len(kt_bits) + 1))
-                 - int(lengths.sum()) * math.log2(size))
-    return terms
+def _mixture_terms(kt_bits, total, size: int) -> np.ndarray:
+    """The summands of log2 R along the last axis, given log2 K_i for the
+    counted orders i = 0..E along it: log2 w_{i+1} + log2 K_i, then the
+    closed-form uniform tail of every higher order, log2 w_tail(E + 2)
+    - t log2|A|, for t the `total` length (one per row)."""
+    kt_bits = np.asarray(kt_bits, dtype=float)
+    explicit = kt_bits.shape[-1]
+    tail = math.log2(order_weight_tail(explicit + 1)) - np.asarray(total) * math.log2(size)
+    return np.concatenate([kt_bits + _log2_weights(explicit), tail[..., None]], axis=-1)
+
+
+@cache
+def _log2_weights(explicit: int) -> np.ndarray:
+    """log2 w_1 .. log2 w_explicit, read-only."""
+    weights = np.array([math.log2(order_weight(i + 1)) for i in range(explicit)])
+    weights.flags.writeable = False
+    return weights
 
 
 def r_log2prob(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> LogProb:
@@ -424,7 +434,52 @@ def r_log2prob(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> LogPr
     size, _, lengths = _layout(x)
     explicit = _explicit_order(lengths, max_explicit_order)
     kt_bits = [kt_log2prob(x, i) for i in range(explicit + 1)]
-    return log2_sum(_mixture_terms(kt_bits, lengths, size))
+    return log2_sum(_mixture_terms(kt_bits, lengths.sum(), size))
+
+
+def _r_log2prob_each(flat: np.ndarray, lengths: np.ndarray, size: int,
+                     max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER) -> np.ndarray:
+    """log2 R of each sample of `lengths` symbols laid end to end in `flat`,
+    priced alone: r_log2prob of every sample from one count per order.
+
+    Sample j counts orders 0..min(max_explicit_order, t_j - 1).  Each order
+    is counted once over all samples, keyed by sample (`_count_each`), and
+    `_kt_bits` is taken per sample by summing each sample's log-gamma terms
+    with np.bincount.  Contexts all distinct within every sample stay
+    distinct at every higher order, where each of a sample's n_j windows
+    adds the same add-half term, so counting stops at the first such order.
+    Each sample's `_mixture_terms` are summed in `log2_sum`'s order.  The
+    per-sample sums run in another order than `_kt_bits`', so values agree
+    with r_log2prob to about 1e-15 relative, not always ==.
+    """
+    samples = lengths.size
+    top = _explicit_order(lengths, max_explicit_order)
+    kt_bits = np.empty((samples, top + 1))
+    # ln K of one window whose context is seen once
+    lone = (math.lgamma(1.5) - math.lgamma(0.5)
+            - math.lgamma(1.0 + size / 2.0) + math.lgamma(size / 2.0))
+    distinct = False
+    for i in range(top + 1):
+        if distinct:
+            nats = np.maximum(lengths - i, 0) * lone
+        else:
+            counts, of_window = _count_each(flat, lengths, size, i)
+            of_context = of_window[counts.starts]
+            num = (np.bincount(of_window, _lgamma_counts(counts.pair, 0.5), samples)
+                   - np.bincount(of_window, minlength=samples) * math.lgamma(0.5))
+            den = (np.bincount(of_context, _lgamma_counts(counts.context, size / 2.0), samples)
+                   - np.bincount(of_context, minlength=samples) * math.lgamma(size / 2.0))
+            nats = num - den
+            distinct = counts.context.max() == 1
+        kt_bits[:, i] = -(np.minimum(lengths, i) * math.log2(size)) + nats / _LN2
+    out = np.empty(samples)
+    explicit = np.minimum(lengths - 1, max_explicit_order)  # _explicit_order of each
+    for e in set(explicit.tolist()):
+        rows = explicit == e
+        terms = _mixture_terms(kt_bits[rows, :e + 1], lengths[rows], size)
+        peak = terms.max(axis=-1)
+        out[rows] = peak + np.log2(np.exp2(terms - peak[:, None]).sum(axis=-1))
+    return out
 
 
 def r_cond_log2prob(word, x,
@@ -457,8 +512,8 @@ def _r_log2prob_pair(x, word, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORD
         ext_bits.append(_kt_bits(counts.pair, counts.context, ext_lengths, i, size))
         if i <= explicit:
             bits.append(_leading_kt_bits(counts, lengths, i, size))
-    return (log2_sum(_mixture_terms(bits, lengths, size)),
-            log2_sum(_mixture_terms(ext_bits, ext_lengths, size)))
+    return (log2_sum(_mixture_terms(bits, lengths.sum(), size)),
+            log2_sum(_mixture_terms(ext_bits, ext_lengths.sum(), size)))
 
 
 def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
@@ -497,9 +552,9 @@ def final_conditional(x, max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
         row[counts.windows[lo:hi] - code] = counts.pair[lo:hi]
         row[0] -= 1  # the extension's own window
         rows.append((row + 0.5) / (row.sum() + size / 2.0))
-    terms = _mixture_terms(bits, lengths, size)
+    terms = _mixture_terms(bits, lengths.sum(), size)
     log2prob = log2_sum(terms)
-    weights = np.exp2(np.array(terms) - log2prob)
+    weights = np.exp2(terms - log2prob)
     weights /= weights.sum()  # drops the error that log2prob shares with every term
     return weights @ np.array(rows + [uniform]), log2prob
 

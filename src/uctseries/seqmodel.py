@@ -7,7 +7,8 @@ alphabet built by size makes its default labels on first use.  All
 statistics are sliding-window based and windows never straddle sample
 boundaries, so the counts of several independent samples are the sums
 of the per-sample counts.  Every batch count in the package comes from
-:func:`window_counts`.
+one kernel: :func:`window_counts` pools the samples, and `_count_each`
+keeps them apart.
 """
 
 from __future__ import annotations
@@ -286,7 +287,37 @@ def window_counts(x, m: int) -> WindowCounts:
 
 def _count(flat: np.ndarray, lengths: np.ndarray, size: int, m: int) -> WindowCounts:
     """window_counts of the samples of `lengths` symbols laid end to end in `flat`."""
+    return _grouped(*_window_codes(flat, lengths, size, m), size)
+
+
+def _count_each(flat: np.ndarray, lengths: np.ndarray, size: int,
+                m: int) -> tuple[WindowCounts, np.ndarray]:
+    """The counts of `_count`, taken for each sample apart, and the sample of
+    each distinct window.
+
+    A window is keyed by its sample and its code, sample * bound + code,
+    so keys ascend sample by sample and key // |A| is one context of one
+    sample (bound is a multiple of |A|).  Where sample * bound could pass
+    2^62, the (sample, context) pairs are first replaced by their dense
+    ranks, which keep their order, and a key is rank * |A| + last symbol.
+    """
     codes, bound = _window_codes(flat, lengths, size, m)
+    sample = np.repeat(np.arange(lengths.size), np.maximum(lengths - m, 0))
+    if lengths.size * bound <= _CODE_LIMIT:
+        counts = _grouped(sample * bound + codes, lengths.size * bound, size)
+        return counts, counts.windows // bound
+    ctx, n_ctx = _ranked(codes // size)
+    rank, ranks = _ranked(sample * n_ctx + ctx)  # of each (sample, context) pair
+    of_rank = np.empty(ranks, dtype=np.int64)
+    of_rank[rank] = sample
+    counts = _grouped(rank * size + codes % size, ranks * size, size)
+    return counts, of_rank[counts.windows // size]
+
+
+def _grouped(codes: np.ndarray, bound: int, size: int) -> WindowCounts:
+    """Counts of the windows of `codes`, all below `bound`, grouped by
+    context code // size: codes below _TALLY_RATIO times their number are
+    tallied, larger ones sorted."""
     if not codes.size:
         empty = np.zeros(0, dtype=np.int64)
         return WindowCounts(empty, empty, empty, empty, empty)

@@ -19,6 +19,7 @@ from .coding import CodelengthProvider, ideal_r_provider
 from .estimators import (
     DEFAULT_MAX_EXPLICIT_ORDER,
     MarkovSource,
+    _r_log2prob_each,
     order_weight,
 )
 from .realvalued import (
@@ -27,7 +28,7 @@ from .realvalued import (
     PiecewiseConstantDensity,
     _check_mixture_depth,
 )
-from .seqmodel import _count, _layout
+from .seqmodel import SymbolSeq, _count, _count_each, _layout, as_sample_arrays
 
 __all__ = [
     "EmpiricalEntropy",
@@ -113,6 +114,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie strictly between 0 and 1")
 
 
+def _verdict(statistic, alpha: float):
+    """The threshold log2(1/alpha) and whether `statistic`, a float or an
+    array, rejects: iff it exceeds the threshold."""
+    threshold = -math.log2(alpha)
+    return threshold, statistic > threshold
+
+
 def _compression_test(test: str, x, reference_bits: float, alpha: float,
                       provider: CodelengthProvider | None, order: int) -> TestReport:
     """The rule every test shares: reject iff the provider's codelength
@@ -124,13 +132,13 @@ def _compression_test(test: str, x, reference_bits: float, alpha: float,
         statistic = math.inf
     else:
         statistic = reference_bits - provider.codelength(x)
-    threshold = -math.log2(alpha)
+    threshold, rejected = _verdict(statistic, alpha)
     return TestReport(
         test=test,
         alpha=alpha,
         statistic_bits=statistic,
         threshold_bits=threshold,
-        verdict="reject" if statistic > threshold else "accept",
+        verdict="reject" if rejected else "accept",
         provider=provider.name,
         order=order,
         lengths=_layout(x)[2].tolist(),
@@ -158,14 +166,78 @@ def serial_independence_test(x, m: int, alpha: float,
 
 
 # ---------------------------------------------------------------------------
+# Batched tests: one verdict per sample, each sample tested alone under the
+# ideal-r provider, from one count per order over all of them
+
+
+def _entropy_totals(flat: np.ndarray, lengths: np.ndarray, size: int,
+                    k: int) -> np.ndarray:
+    """(t_j - k) * h*_k of each sample alone, the serial independence
+    reference, from one order-k count keyed by sample."""
+    counts, of_window = _count_each(flat, lengths, size, k)
+    total = np.repeat(counts.context, np.diff(counts.starts, append=counts.pair.size))
+    pair = counts.pair
+    acc = -np.bincount(of_window, pair * (np.log2(pair) - np.log2(total)), lengths.size)
+    windows = lengths - k
+    return windows * (acc / windows)
+
+
+def _identity_rejections(x, null: MarkovSource, alpha: float,
+                         max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                         ) -> np.ndarray:
+    """identity_test(x_j, null, alpha).rejected of each sample x_j of x.
+    A sample the null gives probability zero rejects without coding."""
+    _check_alpha(alpha)
+    alphabet, arrays = as_sample_arrays(x)
+    reference = -np.array([null.log2prob(SymbolSeq._of_checked(alphabet, arr))
+                           for arr in arrays])
+    statistic = np.full(reference.size, math.inf)
+    coded = reference < math.inf
+    if coded.any():
+        size, flat, lengths = _layout(x)
+        statistic[coded] = reference[coded] + _r_log2prob_each(
+            flat[np.repeat(coded, lengths)], lengths[coded], size, max_explicit_order)
+    return _verdict(statistic, alpha)[1]
+
+
+def _independence_rejections(x, m: int, alpha: float,
+                             max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                             ) -> np.ndarray:
+    """serial_independence_test(x_j, m, alpha).rejected of each sample x_j
+    of x; every sample must be longer than m."""
+    _check_alpha(alpha)
+    size, flat, lengths = _layout(x)
+    if (lengths <= m).any():
+        raise ValueError(f"every sample must be longer than the order k={m}")
+    statistic = (_entropy_totals(flat, lengths, size, m)
+                 + _r_log2prob_each(flat, lengths, size, max_explicit_order))
+    return _verdict(statistic, alpha)[1]
+
+
+# ---------------------------------------------------------------------------
 # Partition scheme for real-valued data
 
 
 def _cell_probs(null_density, partition: Partition) -> np.ndarray:
     """Null probability of every cell: exact for piecewise-constant
-    densities, adaptive quadrature (rtol 1e-8) for callables."""
+    densities, adaptive quadrature (rtol 1e-8) for callables.
+
+    A piecewise-constant cell that holds no breakpoint inside lies in one
+    piece, or outside them all, and gets (hi - lo) * that piece's value,
+    found by one searchsorted for all cells: `integral` adds only exact
+    zeros from the other pieces, so the two are ==.  Only cells holding a
+    breakpoint call `integral`.  A callable null makes one quad call per
+    cell, so a meta-test of depth d makes 2^(d+1) - 2 of them.
+    """
+    edges = partition.edges()
+    lo, hi = edges[:-1], edges[1:]
     if isinstance(null_density, PiecewiseConstantDensity):
-        integral = null_density.integral
+        bp = np.asarray(null_density.breakpoints)
+        values = np.append(null_density.values, 0.0)  # piece -1 and past the last: 0
+        piece = np.searchsorted(bp, lo, side="right") - 1  # -1 before the first
+        probs = (hi - lo) * values[piece]
+        for i in np.flatnonzero(np.searchsorted(bp, hi) > piece + 1).tolist():
+            probs[i] = null_density.integral(lo[i], hi[i])
     else:
         try:
             from scipy import integrate  # slow to import; only callables need it
@@ -175,10 +247,8 @@ def _cell_probs(null_density, partition: Partition) -> np.ndarray:
                 "'quad' extra (pip install 'uctseries[quad]') or pass a "
                 "PiecewiseConstantDensity"
             ) from exc
-
-        def integral(lo, hi):
-            return integrate.quad(null_density, lo, hi, epsrel=1e-8, limit=200)[0]
-    probs = np.array([integral(*partition.cell_bounds(i)) for i in range(partition.cells)])
+        probs = np.array([integrate.quad(null_density, a, b, epsrel=1e-8, limit=200)[0]
+                          for a, b in zip(lo.tolist(), hi.tolist())])
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"null density integrates to {total!r} over the domain")
@@ -241,3 +311,27 @@ def partition_meta_test(data, alpha: float, kind: str = "si",
         lengths=[t],
         sub_reports=subs,
     )
+
+
+def _partition_si_rejections(trials, alpha: float, max_depth: int = DEFAULT_MAX_DEPTH,
+                             domain: tuple[float, float] = (0.0, 1.0),
+                             max_explicit_order: int = DEFAULT_MAX_EXPLICIT_ORDER,
+                             ) -> np.ndarray:
+    """partition_meta_test(data, alpha, "si", ...).rejected of each data
+    array in `trials`.  Every value is quantized by one cell_index call;
+    depth i tests every trial's cells at level alpha * w_i, and a trial
+    rejects iff some depth rejects it."""
+    _check_alpha(alpha)
+    _check_mixture_depth(max_depth)
+    lengths = np.array([len(data) for data in trials], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError("partition meta-test needs at least one value")
+    lo, hi = domain
+    finest = Partition(lo, hi, max_depth).cell_index(np.concatenate(trials))
+    rejected = np.zeros(lengths.size, dtype=bool)
+    for i in range(1, max_depth + 1):
+        cells = finest >> (max_depth - i)  # Partition.level_cells, one depth at a time
+        statistic = (_entropy_totals(cells, lengths, 1 << i, 0)
+                     + _r_log2prob_each(cells, lengths, 1 << i, max_explicit_order))
+        rejected |= _verdict(statistic, alpha * order_weight(i))[1]
+    return rejected

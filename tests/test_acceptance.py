@@ -26,7 +26,16 @@ from uctseries.estimators import (
 )
 from uctseries.realvalued import density_log2, sign_process_generate
 from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
-from uctseries.testing import empirical_entropy, identity_test, partition_meta_test
+from uctseries.estimators import _r_log2prob_each
+from uctseries.testing import (
+    _identity_rejections,
+    _independence_rejections,
+    _partition_si_rejections,
+    empirical_entropy,
+    identity_test,
+    partition_meta_test,
+    serial_independence_test,
+)
 
 BINARY = Alphabet.of_size(2)
 
@@ -212,79 +221,44 @@ def _bound(alpha, n):
 
 
 def test_criterion_06_type1_guarantees():
+    # every trial's statistic comes from the batched tests, which count each
+    # order once over all trials
     n = 2000
     t = 256
     rng = np.random.default_rng(99)
     provider = ideal_r_provider()
     uniform = MarkovSource.uniform(BINARY)
-
-    id_stats = np.empty(n)
-    si_stats = np.empty(n)
-    for i in range(n):
-        x = uniform.sample(t, rng)
-        bits = provider.codelength(x)
-        id_stats[i] = t - bits
-        si_stats[i] = t * empirical_entropy(x, 0).value - bits
-
-    meta_margins = []  # per trial: list of sub statistics by depth
+    x = MultiSample([uniform.sample(t, rng) for _ in range(n)])
     t_meta = 128
     depths = 4
-    for i in range(n):
-        data = rng.random(t_meta)
-        stats = []
-        for d in range(1, depths + 1):
-            q = SymbolSeq(
-                Alphabet.of_size(2 ** d),
-                np.minimum((data * 2 ** d).astype(np.int64), 2 ** d - 1),
-            )
-            e = empirical_entropy(q, 0)
-            stats.append(t_meta * e.value - provider.codelength(q))
-        meta_margins.append(stats)
+    meta_data = [rng.random(t_meta) for _ in range(n)]
 
-    from uctseries.estimators import order_weight
-
-    # tie the inline statistics to the real test functions on a subset
+    # tie the batched statistics to the real test functions on a subset
     rng_check = np.random.default_rng(1234)
+    check, check_data = [], []
     for _ in range(20):
-        x = uniform.sample(t, rng_check)
-        rep = identity_test(x, uniform, 0.05, provider)
-        assert rep.statistic_bits == pytest.approx(
-            t - provider.codelength(x), abs=1e-9
-        )
-        data = rng_check.random(t_meta)
-        rep = partition_meta_test(data, 0.05, kind="si", max_depth=depths)
-        inline = []
-        for d in range(1, depths + 1):
-            q = SymbolSeq(
-                Alphabet.of_size(2 ** d),
-                np.minimum((data * 2 ** d).astype(np.int64), 2 ** d - 1),
-            )
-            inline.append(
-                t_meta * empirical_entropy(q, 0).value - provider.codelength(q)
-            )
-        rejected = any(
-            s > -math.log2(0.05 * order_weight(d + 1))
-            for d, s in enumerate(inline)
-        )
-        assert rep.rejected == rejected
+        check.append(uniform.sample(t, rng_check))
+        check_data.append(rng_check.random(t_meta))
+    check_x = MultiSample(check)
+    log2r = _r_log2prob_each(check_x.symbols, check_x.lengths, 2)
+    for sample, lp in zip(check, log2r):
+        rep = identity_test(sample, uniform, 0.05, provider)
+        assert rep.statistic_bits == pytest.approx(t + lp, abs=1e-9)
+    for alpha in (0.05, 0.01):
+        assert _identity_rejections(check_x, uniform, alpha).tolist() == [
+            identity_test(s, uniform, alpha, provider).rejected for s in check]
+        assert _independence_rejections(check_x, 0, alpha).tolist() == [
+            serial_independence_test(s, 0, alpha, provider).rejected for s in check]
+        assert _partition_si_rejections(check_data, alpha, depths).tolist() == [
+            partition_meta_test(d, alpha, kind="si", max_depth=depths).rejected
+            for d in check_data]
 
     ok = True
     details = []
     for alpha in (0.05, 0.01):
-        thr = -math.log2(alpha)
-        id_rate = float(np.mean(id_stats > thr))
-        si_rate = float(np.mean(si_stats > thr))
-        meta_rate = float(
-            np.mean(
-                [
-                    any(
-                        s > -math.log2(alpha * order_weight(d + 1))
-                        for d, s in enumerate(stats)
-                    )
-                    for stats in meta_margins
-                ]
-            )
-        )
+        id_rate = float(np.mean(_identity_rejections(x, uniform, alpha)))
+        si_rate = float(np.mean(_independence_rejections(x, 0, alpha)))
+        meta_rate = float(np.mean(_partition_si_rejections(meta_data, alpha, depths)))
         b = _bound(alpha, n)
         good = id_rate <= b and si_rate <= b and meta_rate <= b
         ok = ok and good

@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uctseries import cli
 from uctseries.cli import main
-from uctseries.coding import compress_container
+from uctseries.coding import compress_container, ideal_r_provider
 from uctseries.estimators import DEFAULT_MAX_EXPLICIT_ORDER, MarkovSource
 from uctseries.seqmodel import Alphabet, SymbolSeq
+from uctseries.testing import identity_test, partition_meta_test, serial_independence_test
 
 DATA = Path(__file__).parent / "data"
 
@@ -450,30 +452,61 @@ class TestReadReals:
 
 
 class TestMonteCarloCommand:
-    def test_pool_failure_warns_and_runs_in_process(self, capsys, caplog, monkeypatch):
-        args = ("montecarlo", "--test", "identity", "--trials", "16",
-                "--length", "32", "--seed", "2")
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        in_process = run(capsys, *args)
-        null = MarkovSource.uniform(Alphabet.of_size(2))
-        cfg = {"seed": 2, "alpha": 0.05, "length": 32, "null": null, "source": null,
-               "max_order": DEFAULT_MAX_EXPLICIT_ORDER}
-        expected = [cli._mc_trial(("identity", cfg, i)) for i in range(16)]
+    @staticmethod
+    def per_call(kind, cfg, i) -> bool:
+        """Trial i tested alone, by the public test functions."""
+        rng = np.random.default_rng(cfg["seed"] + i)
+        provider = ideal_r_provider(cfg["max_order"])
+        if kind == "partition-si":
+            lo, hi = cfg["domain"]
+            data = lo + (hi - lo) * rng.random(cfg["length"])
+            return partition_meta_test(data, cfg["alpha"], "si", cfg["depth"], (lo, hi),
+                                       max_explicit_order=cfg["max_order"]).rejected
+        x = cfg["source"].sample(cfg["length"], rng)
+        if kind == "identity":
+            return identity_test(x, cfg["null"], cfg["alpha"], provider).rejected
+        return serial_independence_test(x, cfg["order"], cfg["alpha"], provider).rejected
 
-        def no_pool(*args, **kwargs):
-            raise OSError("no semaphores")
+    # mixed: some of the trials reject and some accept
+    @pytest.mark.parametrize("kind, trials, cfg, mixed", [
+        # the montecarlo_identity_sticky golden: half its trials reject
+        ("identity", 40, dict(seed=0, alpha=0.05, length=64, max_order=16,
+                              null=MarkovSource.from_file(DATA / "uniform_null.txt"),
+                              source=MarkovSource.from_file(DATA / "sticky_null.txt")), True),
+        ("identity", 16, dict(seed=2, alpha=0.05, length=32, max_order=16,
+                              null=MarkovSource.from_file(DATA / "sticky_null.txt"),
+                              source=MarkovSource.from_file(DATA / "sticky_null.txt")), True),
+        # a trial holding a 1 has null probability zero and rejects uncoded
+        ("identity", 16, dict(seed=4, alpha=0.05, length=2, max_order=16,
+                              null=MarkovSource.iid(Alphabet.of_size(2), [1.0, 0.0]),
+                              source=MarkovSource.uniform(Alphabet.of_size(2))), True),
+        ("independence", 30, dict(seed=7, alpha=0.05, length=40, max_order=2, order=0,
+                                  source=MarkovSource.from_file(DATA / "sticky_null.txt")),
+         True),
+        ("independence", 12, dict(seed=1, alpha=0.3, length=9, max_order=16, order=2,
+                                  source=MarkovSource.uniform(Alphabet.of_size(3))), False),
+        ("partition-si", 20, dict(seed=3, alpha=0.05, length=400, max_order=16, depth=6,
+                                  domain=(0.0, 1.0)), False),
+        ("partition-si", 16, dict(seed=5, alpha=0.9, length=30, max_order=1, depth=3,
+                                  domain=(-2.0, 5.0)), False),
+    ], ids=["identity-sticky", "identity-order1-null", "identity-zero-probability",
+            "independence-sticky",
+            "independence-ternary-order2", "partition-si-golden", "partition-si-loose"])
+    def test_batched_trials_equal_the_per_call_tests(self, monkeypatch, kind, trials,
+                                                      cfg, mixed):
+        expected = [self.per_call(kind, cfg, i) for i in range(trials)]
+        assert not mixed or 0 < sum(expected) < trials
+        assert cli._run_pool(kind, cfg, trials) == expected
+        for chunk in (3 * cfg["length"] - 1, 1):  # two trials a batch, then one
+            monkeypatch.setattr(cli, "_MC_CHUNK", chunk)
+            assert cli._run_pool(kind, cfg, trials) == expected
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", no_pool)
-        caplog.set_level("WARNING", logger="uctseries")
-        for call, want in [(lambda: cli._run_pool("identity", cfg, 16), expected),
-                           (lambda: run(capsys, *args), in_process)]:
-            caplog.clear()
-            assert call() == want
-            [record] = caplog.records
-            assert record.name == "uctseries" and record.levelname == "WARNING"
-            assert "2 workers" in record.getMessage()
-            assert "no semaphores" in record.getMessage()
+    def test_order_not_below_the_length_is_a_data_error(self, capsys):
+        code, rep, err = run(capsys, "montecarlo", "--test", "independence",
+                             "--order", "5", "--length", "5", "--trials", "3")
+        assert code == 3 and rep is None
+        assert json.loads(err) == {
+            "error": "data", "detail": "every sample must be longer than the order k=5"}
 
     def test_identity_type1(self, capsys):
         code, rep, _ = run(

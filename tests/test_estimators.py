@@ -772,6 +772,45 @@ class TestLog2ProbPair:
         assert [args[3] for args in counted] == list(range(orders))
 
 
+class TestMixtureOfEachSample:
+    @pytest.mark.parametrize("max_order", [0, 2, 16])
+    @pytest.mark.parametrize("size", [1, 2, 3, 256])
+    def test_equals_r_log2prob_of_each_sample(self, size, max_order):
+        rng = np.random.default_rng(size * 100 + max_order)
+        alphabet = Alphabet.of_size(size)
+        for trial in range(8):
+            # empty and one-symbol samples, lengths up to the largest order
+            # and past it; skewed draws repeat contexts, uniform ones at 256
+            # symbols make them distinct after a few orders
+            lengths = [0, 1, max_order, max_order + 1, *rng.integers(1, 60, size=6)]
+            if trial % 2:
+                arrs = [rng.integers(0, size, size=n) for n in lengths]
+            else:
+                arrs = [np.minimum(rng.geometric(0.6, size=n) - 1, size - 1) for n in lengths]
+            x = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+            got = estimators._r_log2prob_each(x.symbols, x.lengths, size, max_order)
+            want = [r_log2prob(SymbolSeq(alphabet, a), max_order) for a in arrs]
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_counting_stops_once_every_context_is_distinct(self, monkeypatch):
+        # orders 0 and 1 are counted: no symbol repeats within a sample, so
+        # the order-1 contexts are distinct and the higher orders need no count
+        alphabet = Alphabet.of_size(256)
+        arrs = [np.arange(40), np.arange(100, 130), np.array([7])]
+        x = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+        orders = []
+
+        def count_each(flat, lengths, size, m):
+            orders.append(m)
+            return seqmodel._count_each(flat, lengths, size, m)
+
+        monkeypatch.setattr(estimators, "_count_each", count_each)
+        got = estimators._r_log2prob_each(x.symbols, x.lengths, 256, 16)
+        assert orders == [0, 1]
+        want = [r_log2prob(SymbolSeq(alphabet, a)) for a in arrs]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_batch_mixtures_from_concurrent_threads_match_serial_calls():
     # threads counting different inputs at once, more of them than cores
     # and switching often, must not see each other's state

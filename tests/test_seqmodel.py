@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctseries import seqmodel
 from uctseries.estimators import (
     final_conditional,
     kt_log2prob,
@@ -16,6 +17,7 @@ from uctseries.seqmodel import (
     AlphabetMismatchError,
     MultiSample,
     SymbolSeq,
+    _count_each,
     as_sample_arrays,
     pair_counts,
     window_counts,
@@ -370,6 +372,31 @@ class TestWindowCountKernel:
     def test_numpy_integer_order(self):
         x = multi("0110100", "10")
         assert window_counts(x, np.int64(5)).pair.tolist() == window_counts(x, 5).pair.tolist()
+
+    @pytest.mark.parametrize("limit", [None, 2 ** 16], ids=["default-limit", "small-limit"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 256, 70000])
+    def test_each_sample_is_counted_alone(self, monkeypatch, size, limit):
+        # 70 samples: at 256 symbols sample * bound passes 2^62 from order
+        # 6 on, so the (sample, context) ranks key the windows there; a
+        # lower code limit takes that path at every order past the first
+        if limit is not None:
+            monkeypatch.setattr(seqmodel, "_CODE_LIMIT", limit)
+        rng = np.random.default_rng(size)
+        alphabet = Alphabet.of_size(size)
+        letters = np.unique(np.r_[0, size - 1, rng.integers(0, size, size=2)])
+        arrs = [rng.choice(letters, size=n) for n in rng.integers(0, 25, size=70)]
+        ms = MultiSample([SymbolSeq(alphabet, a) for a in arrs])
+        for m in range(17):
+            counts, of_window = _count_each(ms.symbols, ms.lengths, size, m)
+            assert counts.codes.size == sum(max(0, a.size - m) for a in arrs)
+            assert (np.diff(of_window) >= 0).all()
+            _, firsts = np.unique(counts.windows // size, return_index=True)
+            assert counts.starts.tolist() == firsts.tolist()
+            of_context = of_window[counts.starts]
+            for j, arr in enumerate(arrs):
+                alone = window_counts(SymbolSeq(alphabet, arr), m)
+                assert counts.pair[of_window == j].tolist() == alone.pair.tolist()
+                assert counts.context[of_context == j].tolist() == alone.context.tolist()
 
     def test_no_windows(self):
         x = multi("", "01")

@@ -11,6 +11,11 @@ from uctseries.realvalued import Partition, PiecewiseConstantDensity, quantize
 from uctseries.seqmodel import Alphabet, MultiSample, SymbolSeq
 from uctseries.testing import TestReport as Report
 from uctseries.testing import (
+    _cell_probs,
+    _entropy_totals,
+    _identity_rejections,
+    _independence_rejections,
+    _partition_si_rejections,
     empirical_entropy,
     identity_test,
     partition_meta_test,
@@ -364,6 +369,101 @@ class TestPartitionMetaTest:
 
         with pytest.raises(DomainError):
             partition_meta_test([0.5, 1.5], 0.05, kind="si", max_depth=2)
+
+
+class TestCellProbs:
+    @pytest.mark.parametrize("depth, nulls", [(1, 60), (3, 60), (8, 60), (12, 6)])
+    def test_equal_to_the_integral_of_every_cell(self, monkeypatch, depth, nulls):
+        # breakpoints on cell edges and between them, and supports that
+        # fill the domain or leave empty cells at either end
+        monkeypatch.setitem(sys.modules, "scipy", None)  # exact cells need no quadrature
+        rng = np.random.default_rng(depth)
+        for trial in range(nulls):
+            lo, hi = [(0.0, 1.0), (-1.0, 2.0), (-3.5, 0.25)][trial % 3]
+            partition = Partition(lo, hi, depth)
+            edges = partition.edges()
+            pieces = int(rng.integers(1, 30))
+            inner = np.where(rng.random(pieces + 1) < 0.5,
+                             rng.choice(edges, size=pieces + 1),
+                             rng.uniform(lo, hi, size=pieces + 1))
+            if trial % 2:
+                inner[[0, -1]] = lo, hi
+            bp = np.unique(inner)
+            if bp.size < 2:
+                continue
+            values = rng.random(bp.size - 1) * (rng.random(bp.size - 1) < 0.8)
+            if not values.any():
+                values[0] = 1.0
+            values /= (np.diff(bp) * values).sum()
+            null = PiecewiseConstantDensity(tuple(bp.tolist()), tuple(values.tolist()))
+            want = np.array([null.integral(*partition.cell_bounds(c))
+                             for c in range(partition.cells)])
+            assert np.array_equal(_cell_probs(null, partition), want / want.sum())
+
+
+def _samples(rng, alphabet, lengths):
+    return [SymbolSeq(alphabet, np.minimum(rng.geometric(0.5, size=n) - 1, alphabet.size - 1))
+            for n in lengths]
+
+
+class TestBatchedTests:
+    @pytest.mark.parametrize("size", [1, 2, 3, 256])
+    def test_entropy_totals_equal_empirical_entropy(self, size):
+        rng = np.random.default_rng(size)
+        for k in range(4):
+            samples = _samples(rng, Alphabet.of_size(size),
+                               [k + 1, k + 2, *rng.integers(k + 1, 80, size=8)])
+            x = MultiSample(samples)
+            got = _entropy_totals(x.symbols, x.lengths, size, k)
+            want = [empirical_entropy(s, k).window_count * empirical_entropy(s, k).value
+                    for s in samples]
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9])
+    def test_verdicts_equal_the_per_call_tests(self, alpha):
+        rng = np.random.default_rng(int(alpha * 100))
+        sticky = MarkovSource(BINARY, 1, [[0.9, 0.1], [0.2, 0.8]])
+        uniform = MarkovSource.uniform(BINARY)
+        samples = [(sticky if i % 2 else uniform).sample(int(rng.integers(3, 90)), rng)
+                   for i in range(40)]
+        x = MultiSample(samples)
+        null = MarkovSource.iid(BINARY, [0.55, 0.45])
+        for max_order in (1, 16):
+            provider = ideal_r_provider(max_order)
+            got = _identity_rejections(x, null, alpha, max_order)
+            want = [identity_test(s, null, alpha, provider).rejected for s in samples]
+            assert got.tolist() == want and 0 < sum(want) < len(want)
+            for m in (0, 2):
+                got = _independence_rejections(x, m, alpha, max_order)
+                want = [serial_independence_test(s, m, alpha, provider).rejected
+                        for s in samples]
+                assert got.tolist() == want
+        # sorted values are serially dependent
+        trials = [np.sort(rng.random(n)) if i % 2 else rng.random(n)
+                  for i, n in enumerate(rng.integers(1, 200, size=30).tolist())]
+        got = _partition_si_rejections(trials, alpha, 5, (0.0, 1.0), 16)
+        want = [partition_meta_test(data, alpha, "si", 5).rejected for data in trials]
+        assert got.tolist() == want and 0 < sum(want) < len(want)
+
+    def test_zero_probability_samples_reject(self):
+        null = MarkovSource(BINARY, 1, [[1.0, 0.0], [0.5, 0.5]], initial=[0.5, 0.5])
+        samples = [seq("0000"), seq("0100"), seq("1111"), seq("1")]
+        got = _identity_rejections(MultiSample(samples), null, 0.05)
+        assert got.tolist() == [identity_test(s, null, 0.05).rejected for s in samples]
+        assert got.tolist() == [False, True, False, False]
+        every = MultiSample([seq("01"), seq("001")])
+        assert _identity_rejections(every, null, 0.05).tolist() == [True, True]
+
+    def test_short_sample_is_the_entropy_error(self):
+        x = MultiSample([seq("0110"), seq("01")])
+        with pytest.raises(ValueError, match="longer than the order k=2"):
+            empirical_entropy(x, 2)
+        with pytest.raises(ValueError, match="longer than the order k=2"):
+            _independence_rejections(x, 2, 0.05)
+
+    def test_empty_partition_trial_is_refused(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            _partition_si_rejections([np.array([0.5]), np.array([])], 0.05)
 
 
 class TestReportSerialization:
