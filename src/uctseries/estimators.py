@@ -449,8 +449,9 @@ def _r_log2prob_each(flat: np.ndarray, lengths: np.ndarray, size: int,
     distinct at every higher order, where each of a sample's n_j windows
     adds the same add-half term, so counting stops at the first such order.
     Each sample's `_mixture_terms` are summed in `log2_sum`'s order.  The
-    per-sample sums run in another order than `_kt_bits`', so values agree
-    with r_log2prob to about 1e-15 relative, not always ==.
+    log-gamma sums run in another order than `_kt_bits`', so values agree
+    with r_log2prob in their last digits (within 1e-12 relative), not
+    always ==.
     """
     samples = lengths.size
     top = _explicit_order(lengths, max_explicit_order)
